@@ -14,7 +14,7 @@ import sys
 from . import certify, construction, ramsey
 from .blocks import block_decomposition
 from .degeneracy import forest_decomposition, is_degenerate
-from .errors import RamseykitError
+from .errors import EnumerationTruncated, RamseykitError
 from .graphs import Graph, parse_edge_list, parse_graph6, write_graph6
 from .report import envelope, to_json, to_text
 
@@ -221,17 +221,6 @@ def _construct_doc(args) -> tuple[dict, str]:
     kwargs = {}
     if args.budget is not None:
         kwargs["copy_limit"] = args.budget
-    final, rep = construction.construct_family_free(
-        args.n,
-        pat,
-        family,
-        args.eps,
-        seed=args.seed,
-        deletion_multiplier=args.deletion_multiplier,
-        density_trials=args.trials,
-        **kwargs,
-    )
-    result = {"graph6": write_graph6(final), "report": rep.to_json_dict()}
     inputs = {
         "pattern": write_graph6(pat),
         "family": [write_graph6(f) for f in family],
@@ -239,6 +228,21 @@ def _construct_doc(args) -> tuple[dict, str]:
         "eps": args.eps,
         "seed": args.seed,
     }
+    try:
+        final, rep = construction.construct_family_free(
+            args.n,
+            pat,
+            family,
+            args.eps,
+            seed=args.seed,
+            deletion_multiplier=args.deletion_multiplier,
+            density_trials=args.trials,
+            **kwargs,
+        )
+    except EnumerationTruncated as exc:
+        doc = envelope("construct", inputs, {"truncated": str(exc)}, "unknown")
+        return doc, "unknown"
+    result = {"graph6": write_graph6(final), "report": rep.to_json_dict()}
     return envelope("construct", inputs, result), "ok"
 
 
@@ -254,10 +258,6 @@ def _count_doc(args) -> tuple[dict, str]:
     kwargs = {}
     if args.budget is not None:
         kwargs["copy_limit"] = args.budget
-    stats = construction.estimate_copy_count(
-        core, pat, args.n, args.eps, trials=args.trials, seed=args.seed,
-        jobs=args.jobs, **kwargs,
-    )
     inputs = {
         "graph": write_graph6(core),
         "pattern": write_graph6(pat),
@@ -266,6 +266,13 @@ def _count_doc(args) -> tuple[dict, str]:
         "seed": args.seed,
         "trials": args.trials,
     }
+    try:
+        stats = construction.estimate_copy_count(
+            core, pat, args.n, args.eps, trials=args.trials, seed=args.seed,
+            jobs=args.jobs, **kwargs,
+        )
+    except EnumerationTruncated as exc:
+        return envelope("count", inputs, {"truncated": str(exc)}, "unknown"), "unknown"
     return envelope("count", inputs, stats.to_json_dict()), "ok"
 
 

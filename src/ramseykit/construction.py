@@ -513,9 +513,10 @@ class CopyCountStats:
 def _density_trial(args) -> int:
     g, pattern, subset_size, seed = args
     rng = np.random.Generator(np.random.PCG64(seed))
-    subset = rng.choice(g.n, size=subset_size, replace=False)
-    sub, _ = induced_subgraph(g, subset.tolist())
-    return 1 if find_embedding(pattern, sub) is not None else 0
+    inside = np.zeros(g.n, dtype=np.uint8)
+    inside[rng.choice(g.n, size=subset_size, replace=False)] = 1
+    mask = int.from_bytes(np.packbits(inside, bitorder="little").tobytes(), "little")
+    return 1 if find_embedding(pattern, g, within=mask) is not None else 0
 
 
 def _copy_count_trial(args) -> int:

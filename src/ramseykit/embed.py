@@ -9,6 +9,7 @@ copy equal the pattern's automorphism count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvalidVertex
 from .graphs import Edge, Graph
@@ -43,27 +44,24 @@ class CopyEnumeration:
     truncated: bool
 
 
-def _pattern_order(pattern: Graph, first: int | None = None) -> list[int]:
-    """Vertex order maximizing already-placed neighbors at every step."""
-    n = pattern.n
-    order: list[int] = []
-    seen: set[int] = set()
-    if first is not None:
-        order.append(first)
-        seen.add(first)
-    while len(order) < n:
-        best = None
-        best_key = None
-        for v in range(n):
-            if v in seen:
-                continue
-            back = sum(1 for w in pattern.adj[v] if w in seen)
-            key = (back, pattern.degree(v), -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
+@lru_cache(maxsize=256)
+def _search_plan(pattern: Graph, first: int | None) -> tuple:
+    """Vertex order maximizing already-placed neighbors at every step, each
+    step's placed-neighbor positions and degree; shared by repeated searches."""
+    order = [] if first is None else [first]
+    seen = set(order)
+    while len(order) < pattern.n:
+        best = max(
+            (v for v in range(pattern.n) if v not in seen),
+            key=lambda v: (len(pattern.adj[v] & seen), pattern.degree(v), -v),
+        )
         order.append(best)
         seen.add(best)
-    return order
+    pos = {v: i for i, v in enumerate(order)}
+    placed_nbrs = tuple(
+        tuple(pos[w] for w in pattern.adj[v] if pos[w] < i) for i, v in enumerate(order)
+    )
+    return tuple(order), placed_nbrs, tuple(pattern.degree(v) for v in order)
 
 
 def _iter_bits(mask: int):
@@ -77,32 +75,34 @@ def enumerate_embeddings(
     pattern: Graph,
     host: Graph,
     pin: tuple[int, int] | None = None,
+    within: int | None = None,
 ):
     """Yield every embedding of pattern into host, deterministically.
 
     pin = (role, host_vertex) restricts to embeddings with
-    map[role] = host_vertex.
+    map[role] = host_vertex.  within, a bitmask of host vertices, restricts
+    the search to the subgraph they induce; the embeddings and their order
+    are those of the induced subgraph, mapped back to host ids.
     """
     pn, hn = pattern.n, host.n
+    if within is None:
+        within = (1 << hn) - 1
+    elif within >> hn:  # also catches negative masks
+        raise InvalidVertex(f"vertex mask reaches outside 0..{hn - 1}")
     if pin is not None:
         if not 0 <= pin[0] < pn:
             raise InvalidVertex(f"pin role {pin[0]} outside pattern")
         if not 0 <= pin[1] < hn:
             raise InvalidVertex(f"pin vertex {pin[1]} outside host")
-    if pn > hn:
+    if pn > within.bit_count():
         return
     if pn == 0:
         yield Embedding(0, (), frozenset(), frozenset())
         return
-    order = _pattern_order(pattern, first=pin[0] if pin else None)
-    pos = {v: i for i, v in enumerate(order)}
-    placed_nbrs = [
-        [pos[w] for w in pattern.adj[order[i]] if pos[w] < i] for i in range(pn)
-    ]
+    order, placed_nbrs, pdeg = _search_plan(pattern, pin[0] if pin else None)
     hbits = host.adj_bits
-    hdeg = [host.degree(v) for v in range(hn)]
-    pdeg = [pattern.degree(order[i]) for i in range(pn)]
-    full = (1 << hn) - 1
+    # degrees inside the mask, so the filter matches the induced subgraph's
+    hdeg = [(b & within).bit_count() for b in hbits]
     assignment = [0] * pn
 
     def emit() -> Embedding:
@@ -118,7 +118,7 @@ def enumerate_embeddings(
         if i == pn:
             yield emit()
             return
-        mask = full & ~used
+        mask = within & ~used
         for j in placed_nbrs[i]:
             mask &= hbits[assignment[j]]
         need = pdeg[i]
@@ -129,7 +129,7 @@ def enumerate_embeddings(
             yield from extend(i + 1, used | (1 << hv))
 
     if pin is not None:
-        if hdeg[pin[1]] < pdeg[0]:
+        if not within >> pin[1] & 1 or hdeg[pin[1]] < pdeg[0]:
             return
         assignment[0] = pin[1]
         yield from extend(1, 1 << pin[1])
@@ -138,9 +138,10 @@ def enumerate_embeddings(
 
 
 def find_embedding(
-    pattern: Graph, host: Graph, pin: tuple[int, int] | None = None
+    pattern: Graph, host: Graph,
+    pin: tuple[int, int] | None = None, within: int | None = None,
 ) -> Embedding | None:
-    return next(enumerate_embeddings(pattern, host, pin), None)
+    return next(enumerate_embeddings(pattern, host, pin, within), None)
 
 
 def contains_copy(pattern: Graph, host: Graph) -> bool:

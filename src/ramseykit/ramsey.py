@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
+from .construction import estimate_density
 from .embed import Copy, DEFAULT_COPY_LIMIT, enumerate_copies, find_embedding
 from .errors import (
     EnumerationTruncated,
@@ -20,7 +19,7 @@ from .errors import (
     SubsetSpaceTooLarge,
     UnsupportedPattern,
 )
-from .graphs import Graph, VertexColoring, induced_subgraph
+from .graphs import Graph, VertexColoring
 
 DEFAULT_SEARCH_BUDGET = 100_000_000
 EXACT_SUBSET_CAP = 1_000_000
@@ -161,24 +160,16 @@ def is_eps_dense(
     if size < 1:
         raise ParamOutOfRange("floor(eps * n) must be at least 1")
     if mode == "exact":
-        if math.comb(n, size) > EXACT_SUBSET_CAP:
+        total = math.comb(n, size)
+        if total > EXACT_SUBSET_CAP:
             raise SubsetSpaceTooLarge(
                 f"C({n},{size}) exceeds the exact cap {EXACT_SUBSET_CAP}"
             )
-        total = 0
-        for subset in combinations(range(n), size):
-            total += 1
-            sub, _ = induced_subgraph(g, subset)
-            if find_embedding(pattern, sub) is None:
-                return DensityResult("exact", False, 0.0, 0, total, size, subset)
+        for tried, subset in enumerate(combinations(range(n), size), 1):
+            if find_embedding(pattern, g, within=sum(1 << v for v in subset)) is None:
+                return DensityResult("exact", False, 0.0, 0, tried, size, subset)
         return DensityResult("exact", True, 1.0, total, total, size)
     if mode != "sampled":
         raise ParamOutOfRange(f"unknown mode {mode!r}")
-    hits = 0
-    for t in range(trials):
-        rng = np.random.Generator(np.random.PCG64((seed ^ t) & 0xFFFFFFFFFFFFFFFF))
-        subset = rng.choice(n, size=size, replace=False)
-        sub, _ = induced_subgraph(g, subset.tolist())
-        if find_embedding(pattern, sub) is not None:
-            hits += 1
-    return DensityResult("sampled", None, hits / trials, hits, trials, size)
+    est = estimate_density(g, pattern, size, trials=trials, seed=seed)
+    return DensityResult("sampled", None, est.fraction, est.hits, est.trials, size)

@@ -98,6 +98,24 @@ class TestDispatch:
         assert code == 0
         assert len(doc["result"]["counts"]) == 5
 
+    def test_count_budget_unknown_exit_code(self):
+        code, doc = run_json(
+            ["count", "--graph", C4_G6, "--pattern", K3_G6, "-n", "120",
+             "--eps", "0.3", "--trials", "3", "--budget", "1"]
+        )
+        assert code == 2
+        assert doc["status"] == "unknown"
+        assert doc["result"] == {"truncated": "core copy count truncated during trial"}
+
+    def test_construct_budget_unknown_exit_code(self):
+        code, doc = run_json(
+            ["construct", "--pattern", K3_G6, "--family", C4_G6, "-n", "60",
+             "--eps", "0.3", "--seed", "1", "--budget", "1"]
+        )
+        assert code == 2
+        assert doc["status"] == "unknown"
+        assert doc["result"] == {"truncated": "core copy enumeration truncated"}
+
     def test_estimate_density(self):
         code, doc = run_json(
             ["estimate-density", "--graph", write_graph6(complete_graph(12)),

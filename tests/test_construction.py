@@ -301,6 +301,22 @@ class TestEstimators:
         parallel = estimate_density(g, K3, 20, trials=60, seed=13, jobs=2)
         assert serial == again == parallel
 
+    def test_density_builds_no_graph_per_trial(self, monkeypatch):
+        g = union_graph(
+            sample_copy_hypergraph(ConstructionParams.derive(60, K3, 0.5, seed=2), K3)
+        )
+        built = []
+        post_init = Graph.__post_init__
+
+        def counting(self):
+            built.append(self.n)
+            post_init(self)
+
+        monkeypatch.setattr(Graph, "__post_init__", counting)
+        est = estimate_density(g, K3, 20, trials=50, seed=4)
+        assert est.trials == 50 and 0 < est.hits
+        assert built == []
+
     def test_c4_union_mean_matches_brute_force(self):
         # every subset of the ten triangles of K5, weighted by its
         # probability, with C4 copies counted by raw injections

@@ -3,11 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramseykit.embed import (
+    Embedding,
     automorphism_count,
     contains_copy,
     count_copies,
     enumerate_copies,
     enumerate_embeddings,
+    find_embedding,
 )
 from ramseykit.errors import InvalidVertex
 from ramseykit.graphs import (
@@ -16,10 +18,19 @@ from ramseykit.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    induced_subgraph,
     path_graph,
 )
 
-from helpers import automorphisms_oracle, bowtie, copies_oracle, diamond, paw, random_graphs
+from helpers import (
+    automorphisms_oracle,
+    bowtie,
+    copies_oracle,
+    diamond,
+    embeddings_oracle,
+    paw,
+    random_graphs,
+)
 
 PATTERNS = [
     complete_graph(2),
@@ -154,3 +165,57 @@ def test_copy_count_monotone_under_edge_addition(case):
         before, _ = count_copies(pattern, host)
         after, _ = count_copies(pattern, bigger)
         assert after >= before
+
+
+class TestWithinMask:
+    def test_pin_outside_mask_yields_nothing(self):
+        k3, host = complete_graph(3), complete_graph(5)
+        assert list(enumerate_embeddings(k3, host, (0, 4), 0b01111)) == []
+        assert find_embedding(k3, host, (0, 3), 0b01111) is not None
+
+    def test_mask_outside_host_raises(self):
+        k2, host = complete_graph(2), complete_graph(4)
+        for mask in (1 << 4, 0b11111, -1):
+            with pytest.raises(InvalidVertex):
+                list(enumerate_embeddings(k2, host, within=mask))
+            with pytest.raises(InvalidVertex):
+                find_embedding(k2, host, within=mask)
+
+    def test_none_is_the_whole_host(self):
+        for pattern in PATTERNS:
+            for host in random_graphs(6, 5, seed=pattern.m * 7 + pattern.n):
+                whole = list(enumerate_embeddings(pattern, host))
+                assert whole == list(
+                    enumerate_embeddings(pattern, host, within=(1 << host.n) - 1)
+                )
+                assert sorted(e.map for e in whole) == sorted(
+                    embeddings_oracle(pattern, host)
+                )
+
+
+@st.composite
+def host_mask_and_pin(draw):
+    n = draw(st.integers(min_value=0, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    mask = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    pattern = draw(st.sampled_from(PATTERNS))
+    kept = [v for v in range(n) if mask >> v & 1]
+    pin = None
+    if kept and draw(st.booleans()):
+        pin = (draw(st.integers(0, pattern.n - 1)), draw(st.sampled_from(kept)))
+    return pattern, Graph(n, frozenset(edges)), mask, pin
+
+
+@settings(max_examples=200, deadline=None)
+@given(host_mask_and_pin())
+def test_within_matches_induced_subgraph(case):
+    pattern, host, mask, pin = case
+    sub, kept = induced_subgraph(host, [v for v in range(host.n) if mask >> v & 1])
+    local_pin = None if pin is None else (pin[0], kept.index(pin[1]))
+    expected = []
+    for emb in enumerate_embeddings(pattern, sub, local_pin):
+        m = tuple(kept[v] for v in emb.map)
+        edges = frozenset((kept[u], kept[v]) for u, v in emb.image_edges)
+        expected.append(Embedding(emb.pattern_n, m, frozenset(m), edges))
+    assert list(enumerate_embeddings(pattern, host, pin, within=mask)) == expected

@@ -135,6 +135,10 @@ class TestEpsDense:
         res = is_eps_dense(empty, complete_graph(2), 0.4, mode="sampled", trials=50, seed=1)
         assert res.fraction == 0.0
 
+    def test_sampled_zero_trials(self):
+        res = is_eps_dense(complete_graph(10), complete_graph(3), 0.3, "sampled", trials=0)
+        assert (res.fraction, res.hits, res.trials) == (0.0, 0, 0)
+
     def test_sampled_deterministic(self):
         g = next(iter(random_graphs(12, 1, seed=4)))
         a = is_eps_dense(g, complete_graph(3), 0.4, mode="sampled", trials=100, seed=9)
