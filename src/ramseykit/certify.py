@@ -7,30 +7,35 @@ pieces * (2*(a-1)*(b-2) + 1) colors and no monochromatic pattern copy
 (a, b the pattern/target vertex counts).  Both branches are verified
 before they are returned.
 
-The coloring machinery works level by level: vertices carrying few
-pairwise-almost-disjoint pattern copies in a chosen role are colored via
-a bounded-out-degree auxiliary digraph, and the rest of the host recurses
-on the target minus its last attached piece.  Every level first tries a
-direct embedding search, so the embedding branch is returned exactly when
-the host contains the target.
+The target is searched for once, in the whole host, so the embedding
+branch is returned exactly when the host contains the target.  Otherwise
+the host is colored level by level, each level a vertex mask of the host:
+vertices carrying few pairwise-almost-disjoint pattern copies in a chosen
+role are colored via a bounded-out-degree auxiliary digraph, and the rest
+recurses on the target minus its last attached piece.  No level needs a
+search of its own: every vertex of the rest carries b - 1 copies that meet
+only there, and at most b - 2 of them meet an embedding of the smaller
+target, so such an embedding would extend to one of the whole target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .degeneracy import ForestDecomposition, Piece, forest_decomposition
 from .embed import (
     Copy,
     DEFAULT_COPY_LIMIT,
     Embedding,
+    _iter_bits,
     enumerate_copies,
     enumerate_copies_with_witness,
     enumerate_embeddings,
     find_embedding,
 )
-from .errors import EnumerationTruncated, NotDegenerate, ParamOutOfRange
-from .graphs import Graph, VertexColoring, induced_subgraph, subgraph_from_sets
+from .errors import CertificateError, EnumerationTruncated, NotDegenerate, ParamOutOfRange
+from .graphs import Graph, VertexColoring, subgraph_from_sets
 
 EMBEDDING = "embedding"
 COLORING = "coloring"
@@ -111,13 +116,17 @@ def star_family_at_least(
     v: int,
     t: int,
     limit: int | None = DEFAULT_COPY_LIMIT,
+    within: int | None = None,
 ) -> tuple[bool, StarFamily | None]:
     """Decide whether t pattern copies sit at v in the given role, pairwise
-    intersecting only at v.  Exact branch-and-bound packing over the pinned
-    copies; a witness family is returned on success."""
+    intersecting only at v, inside the vertex mask `within` (default: all
+    of g).  Exact branch-and-bound packing over the pinned copies; a
+    witness family is returned on success."""
     if t < 1:
         raise ParamOutOfRange("target family size must be at least 1")
-    pairs, truncated = enumerate_copies_with_witness(pattern, g, pin=(role, v), limit=limit)
+    pairs, truncated = enumerate_copies_with_witness(
+        pattern, g, pin=(role, v), limit=limit, within=within
+    )
     if truncated:
         raise EnumerationTruncated(
             f"pinned copy enumeration at vertex {v} exceeded {limit} copies"
@@ -157,35 +166,26 @@ def star_family_at_least(
     return True, family
 
 
-def _translate_copy(copy: Copy, kept: tuple[int, ...]) -> Copy:
-    """Map a copy found in an induced subgraph back to the outer labels."""
-    return Copy(
-        frozenset(kept[w] for w in copy.vertices),
-        frozenset(
-            (min(kept[u], kept[w]), max(kept[u], kept[w])) for u, w in copy.edges
-        ),
-    )
-
-
 def greedy_disjoint_family(
-    g: Graph, pattern: Graph, limit: int | None = DEFAULT_COPY_LIMIT
+    g: Graph,
+    pattern: Graph,
+    limit: int | None = DEFAULT_COPY_LIMIT,
+    within: int | None = None,
 ) -> list[Copy]:
-    """Maximal family of pairwise vertex-disjoint pattern copies, grown
-    greedily over copies in canonical order.  Maximality holds by
-    construction: the loop stops only when the leftover host has no copy."""
+    """Maximal family of pairwise vertex-disjoint pattern copies inside the
+    vertex mask `within` (default: all of g), grown greedily over copies in
+    canonical order.  Maximality holds by construction: the loop stops only
+    when the leftover vertices induce no copy."""
     family: list[Copy] = []
-    remaining = list(range(g.n))
+    remaining = (1 << g.n) - 1 if within is None else within
     while True:
-        sub, kept = induced_subgraph(g, remaining)
-        enum = enumerate_copies(pattern, sub, limit=limit)
+        enum = enumerate_copies(pattern, g, limit=limit, within=remaining)
         if enum.truncated:
             raise EnumerationTruncated("copy enumeration truncated in greedy family")
         if not enum.copies:
             return family
-        copy = _translate_copy(enum.copies[0], kept)
-        family.append(copy)
-        taken = copy.vertices
-        remaining = [w for w in remaining if w not in taken]
+        family.append(enum.copies[0])
+        remaining &= ~sum(1 << w for w in enum.copies[0].vertices)
 
 
 def degeneracy_coloring(gamma: Graph) -> VertexColoring:
@@ -224,11 +224,9 @@ def verify_coloring(
         members = classes[c]
         if len(members) < pattern.n:
             continue
-        sub, kept = induced_subgraph(g, members)
-        emb = find_embedding(pattern, sub)
+        emb = find_embedding(pattern, g, within=sum(1 << v for v in members))
         if emb is not None:
-            witness = _translate_copy(Copy(emb.image_vertices, emb.image_edges), kept)
-            return False, witness
+            return False, Copy(emb.image_vertices, emb.image_edges)
     return True, None
 
 
@@ -237,64 +235,42 @@ def verify_coloring(
 
 def _solve(
     host: Graph,
-    target: Graph,
     pattern: Graph,
-    active: list[int],
+    active: int,
     plist: list[tuple[Piece, int | None]],
     depth: int,
     copy_limit: int | None,
-):
-    """One recursion level.  Returns ("embedding", map, stats) with map in
-    original host/target labels, or ("coloring", vertex->color dict,
-    palette size, stats)."""
+) -> tuple[dict[int, int], list[LevelStats]]:
+    """Color the vertices in the mask `active`, which induce no copy of the
+    target made of the pieces in plist, with no monochromatic pattern copy.
+    Returns (vertex -> color, one LevelStats per level)."""
     a = pattern.n
-    host_sub, hmap = induced_subgraph(host, active)
-    bvs = sorted({v for piece, _ in plist for v in piece.vertices})
-    target_sub, fmap = induced_subgraph(target, bvs)
-    b_cur = target_sub.n
-    stats = LevelStats(depth=depth, case="", host_size=host_sub.n, pieces=len(plist))
-
-    emb = find_embedding(target_sub, host_sub)
-    if emb is not None:
-        stats.case = "direct-embedding"
-        mapping = {fmap[i]: hmap[emb.map[i]] for i in range(target_sub.n)}
-        return EMBEDDING, mapping, [stats]
+    b_cur = len({v for piece, _ in plist for v in piece.vertices})
+    stats = LevelStats(depth=depth, case="", host_size=active.bit_count(), pieces=len(plist))
 
     if len(plist) == 1:
         # single piece embeds into the pattern, so a pattern-free host is
         # exactly a target-free host: one color suffices
         stats.case = "single-piece"
         stats.colors_here = 1 if active else 0
-        colors = {v: 0 for v in active}
-        return COLORING, colors, stats.colors_here, [stats]
+        return {v: 0 for v in _iter_bits(active)}, [stats]
 
     if all(att is None for _, att in plist):
         stats.case = "disjoint"
-        family = greedy_disjoint_family(host_sub, pattern, limit=copy_limit)
-        if len(family) >= len(plist):
-            # enough disjoint pattern copies: embed one piece per copy
-            mapping: dict[int, int] = {}
-            for (piece, _), copy in zip(plist, family):
-                psub, pmap = subgraph_from_sets(piece.vertices, piece.edges)
-                csub, ckept = subgraph_from_sets(copy.vertices, copy.edges)
-                pe = find_embedding(psub, csub)
-                assert pe is not None, "piece must embed into a pattern copy"
-                for i in range(psub.n):
-                    mapping[pmap[i]] = hmap[ckept[pe.map[i]]]
-            stats.case = "disjoint-embedding"
-            return EMBEDDING, mapping, [stats]
+        family = greedy_disjoint_family(host, pattern, limit=copy_limit, within=active)
+        # one piece per copy would embed the target
+        assert len(family) < len(plist), "too many disjoint copies for a target-free host"
         colors: dict[int, int] = {}
         for j, copy in enumerate(family):
-            verts = sorted(hmap[w] for w in copy.vertices)
+            verts = sorted(copy.vertices)
             colors[verts[0]] = 2 * j
             for w in verts[1:]:
                 colors[w] = 2 * j + 1
-        leftover = [hmap[w] for w in range(host_sub.n) if hmap[w] not in colors]
+        leftover = [w for w in _iter_bits(active) if w not in colors]
         for w in leftover:
             colors[w] = 2 * len(family)
-        palette = 2 * len(family) + (1 if leftover else 0)
-        stats.colors_here = palette
-        return COLORING, colors, palette, [stats]
+        stats.colors_here = 2 * len(family) + (1 if leftover else 0)
+        return colors, [stats]
 
     # glued case: detach the last piece that meets the earlier union
     stats.case = "glued"
@@ -304,31 +280,31 @@ def _solve(
     assert b_cur >= 3, "glued case needs at least three target vertices"
 
     psub, pmap = subgraph_from_sets(piece.vertices, piece.edges)
-    x_local = pmap.index(x)
     eta = min(enumerate_embeddings(psub, pattern), key=lambda e: e.map, default=None)
     assert eta is not None, "decomposition pieces embed into the pattern"
-    role = eta.map[x_local]
+    role = eta.map[pmap.index(x)]
 
-    threshold = b_cur - 1
-    u_local: list[int] = []
-    witnesses: dict[int, StarFamily] = {}
-    for v in range(host_sub.n):
-        ok, fam = star_family_at_least(
-            host_sub, pattern, role, v, threshold, limit=copy_limit
+    # U: vertices without b_cur - 1 copies in the role, pairwise meeting
+    # only there; the others carry the rest of the target
+    u_mask = sub_active = 0
+    for v in _iter_bits(active):
+        ok, _ = star_family_at_least(
+            host, pattern, role, v, b_cur - 1, limit=copy_limit, within=active
         )
         if ok:
-            witnesses[v] = fam
+            sub_active |= 1 << v
         else:
-            u_local.append(v)
-    stats.u_size = len(u_local)
+            u_mask |= 1 << v
+    stats.u_size = u_mask.bit_count()
 
-    # color the sparse side through the bounded-out-degree digraph
-    u_sub, umap = induced_subgraph(host_sub, u_local)
+    # color U through the bounded-out-degree digraph
+    u_verts = list(_iter_bits(u_mask))
+    local = {v: j for j, v in enumerate(u_verts)}
     out_cap = (a - 1) * (b_cur - 2)
     arcs: set[tuple[int, int]] = set()
-    for v in range(u_sub.n):
+    for v in u_verts:
         copies, truncated = enumerate_copies_with_witness(
-            pattern, u_sub, pin=(role, v), limit=copy_limit
+            pattern, host, pin=(role, v), limit=copy_limit, within=u_mask
         )
         if truncated:
             raise EnumerationTruncated("pinned enumeration truncated inside U")
@@ -339,43 +315,19 @@ def _solve(
         reach = union - {v}
         assert len(reach) <= out_cap, "out-degree bound of the auxiliary digraph"
         for u in reach:
-            arcs.add((min(u, v), max(u, v)))
-    gamma = Graph(u_sub.n, frozenset(arcs))
-    u_coloring = degeneracy_coloring(gamma)
+            arcs.add((min(local[u], local[v]), max(local[u], local[v])))
+    u_coloring = degeneracy_coloring(Graph(len(u_verts), frozenset(arcs)))
     colors_u = u_coloring.palette_size
     assert colors_u <= 2 * out_cap + 1, "degeneracy palette bound"
     stats.colors_here = colors_u
 
-    sub_active = [hmap[v] for v in range(host_sub.n) if v in witnesses]
-    result = _solve(host, target, pattern, sub_active, rest, depth + 1, copy_limit)
-
-    if result[0] == COLORING:
-        _, child_colors, child_palette, child_stats = result
-        colors = {hmap[umap[v]]: u_coloring.colors[v] for v in range(u_sub.n)}
-        for w, c in child_colors.items():
-            colors[w] = colors_u + c
-        return COLORING, colors, colors_u + child_palette, [stats] + child_stats
-
-    # the recursion found the target minus the detached piece: complete it
-    # through a copy at the attachment's image, which cannot sit in U
-    _, child_map, child_stats = result
-    v_orig = child_map[x]
-    orig2local = {hmap[idx]: idx for idx in range(host_sub.n)}
-    v_local = orig2local[v_orig]
-    fam = witnesses[v_local]
-    blocked = {orig2local[w] for w in child_map.values() if w != v_orig}
-    pick = None
-    for copy, zeta in zip(fam.copies, fam.embeddings):
-        if not (copy.vertices & blocked):
-            pick = zeta
-            break
-    assert pick is not None, "some witness copy avoids the partial embedding"
-    mapping = dict(child_map)
-    for j, pv in enumerate(pmap):
-        mapping[pv] = hmap[pick.map[eta.map[j]]]
-    assert mapping[x] == v_orig
-    stats.case = "glued-completion"
-    return EMBEDDING, mapping, [stats] + child_stats
+    child_colors, child_stats = _solve(
+        host, pattern, sub_active, rest, depth + 1, copy_limit
+    )
+    colors = dict(zip(u_verts, u_coloring.colors))
+    for w, c in child_colors.items():
+        colors[w] = colors_u + c
+    return colors, [stats] + child_stats
 
 
 def palette_bound(pattern_n: int, target_n: int, pieces: int) -> int:
@@ -397,8 +349,9 @@ def embed_or_color(
 
     The embedding branch is returned exactly when host contains a copy of
     target.  Raises NotDegenerate when target has a block that does not
-    embed into pattern; truncated enumerations yield an "unknown"
-    certificate instead of a guess.
+    embed into pattern, and CertificateError if a certificate fails its
+    final check; truncated enumerations yield an "unknown" certificate
+    instead of a guess.
     """
     if pattern.n < 2:
         raise ParamOutOfRange("pattern needs at least two vertices")
@@ -410,56 +363,45 @@ def embed_or_color(
         raise NotDegenerate("target has a block that does not embed into the pattern")
     bound = palette_bound(pattern.n, target.n, decomposition.size)
     plist = list(zip(decomposition.pieces, decomposition.attachments))
-
-    try:
-        result = _solve(
-            host, target, pattern, list(range(host.n)), plist, 0, copy_limit
-        )
-    except EnumerationTruncated as exc:
-        return Certificate(
-            branch=UNKNOWN,
-            embedding=None,
-            coloring=None,
-            palette_bound=bound,
-            pattern_n=pattern.n,
-            target_n=target.n,
-            pieces=decomposition.size,
-            verified=False,
-            reason=str(exc),
-        )
-
-    if result[0] == EMBEDDING:
-        _, mapping, levels = result
-        assert len(mapping) == target.n
-        assert len(set(mapping.values())) == target.n
-        for u, v in target.edges:
-            assert host.has_edge(mapping[u], mapping[v])
-        return Certificate(
-            branch=EMBEDDING,
-            embedding=mapping,
-            coloring=None,
-            palette_bound=bound,
-            pattern_n=pattern.n,
-            target_n=target.n,
-            pieces=decomposition.size,
-            verified=True,
-            levels=levels,
-        )
-
-    _, colors, palette, levels = result
-    coloring = VertexColoring(tuple(colors.get(v, 0) for v in range(host.n)))
-    assert len(colors) == host.n
-    ok, witness = verify_coloring(host, pattern, coloring)
-    assert ok, f"coloring certificate failed verification: {witness}"
-    assert coloring.palette_size <= bound
-    return Certificate(
-        branch=COLORING,
-        embedding=None,
-        coloring=coloring,
+    certificate = partial(
+        Certificate,
         palette_bound=bound,
         pattern_n=pattern.n,
         target_n=target.n,
         pieces=decomposition.size,
-        verified=True,
+    )
+
+    emb = find_embedding(target, host)
+    if emb is not None:
+        mapping = dict(enumerate(emb.map))
+        if (
+            len(mapping) != target.n
+            or len(set(mapping.values())) != target.n
+            or not all(host.has_edge(mapping[u], mapping[v]) for u, v in target.edges)
+        ):
+            raise CertificateError("embedding certificate failed verification")
+        level = LevelStats(0, "direct-embedding", host.n, len(plist))
+        return certificate(
+            branch=EMBEDDING, embedding=mapping, coloring=None, verified=True,
+            levels=[level],
+        )
+
+    try:
+        colors, levels = _solve(host, pattern, (1 << host.n) - 1, plist, 0, copy_limit)
+    except EnumerationTruncated as exc:
+        return certificate(
+            branch=UNKNOWN, embedding=None, coloring=None, verified=False,
+            reason=str(exc),
+        )
+    coloring = VertexColoring(tuple(colors.get(v, 0) for v in range(host.n)))
+    if len(colors) != host.n:
+        raise CertificateError("coloring certificate leaves a vertex uncolored")
+    ok, witness = verify_coloring(host, pattern, coloring)
+    if not ok:
+        raise CertificateError(f"coloring certificate has a monochromatic copy: {witness}")
+    if coloring.palette_size > bound:
+        raise CertificateError("coloring certificate exceeds its palette bound")
+    return certificate(
+        branch=COLORING, embedding=None, coloring=coloring, verified=True,
         levels=levels,
     )

@@ -179,14 +179,17 @@ def _ramsey_doc(args) -> tuple[dict, str]:
     kwargs = {}
     if args.budget is not None:
         kwargs["node_budget"] = args.budget
-    dec = ramsey.is_ramsey(g, pat, args.r, **kwargs)
+    inputs = {"graph": write_graph6(g), "pattern": write_graph6(pat), "r": args.r}
+    try:
+        dec = ramsey.is_ramsey(g, pat, args.r, **kwargs)
+    except EnumerationTruncated as exc:
+        return envelope("ramsey", inputs, {"truncated": str(exc)}, "unknown"), "unknown"
     result = {
         "ramsey": dec.ramsey,
         "r": args.r,
         "nodes": dec.nodes,
         "witness_coloring": list(dec.witness.colors) if dec.witness else None,
     }
-    inputs = {"graph": write_graph6(g), "pattern": write_graph6(pat), "r": args.r}
     status = "unknown" if dec.status == ramsey.UNKNOWN else "ok"
     return envelope("ramsey", inputs, result, status), status
 

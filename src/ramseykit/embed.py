@@ -149,18 +149,33 @@ def contains_copy(pattern: Graph, host: Graph) -> bool:
     return find_embedding(pattern, host) is not None
 
 
+def _distinct_copies(pattern, host, pin, limit, within) -> tuple[dict, bool]:
+    """First embedding of each distinct copy, keyed by its image, in
+    enumeration order; stops before the (limit + 1)-th distinct copy."""
+    seen: dict[tuple, Embedding] = {}
+    for emb in enumerate_embeddings(pattern, host, pin, within):
+        k = (emb.image_vertices, emb.image_edges)
+        if k in seen:
+            continue
+        if limit is not None and len(seen) >= limit:
+            return seen, True
+        seen[k] = emb
+    return seen, False
+
+
 def enumerate_copies(
     pattern: Graph,
     host: Graph,
     pin: tuple[int, int] | None = None,
     limit: int | None = DEFAULT_COPY_LIMIT,
+    within: int | None = None,
 ) -> CopyEnumeration:
     """All distinct copies of pattern in host, deduplicated by image.
 
     Enumeration stops after `limit` distinct copies; truncation is
     reported on the result, never silent.
     """
-    pairs, truncated = enumerate_copies_with_witness(pattern, host, pin, limit)
+    pairs, truncated = enumerate_copies_with_witness(pattern, host, pin, limit, within)
     return CopyEnumeration([c for c, _ in pairs], truncated)
 
 
@@ -169,20 +184,13 @@ def enumerate_copies_with_witness(
     host: Graph,
     pin: tuple[int, int] | None = None,
     limit: int | None = DEFAULT_COPY_LIMIT,
+    within: int | None = None,
 ) -> tuple[list[tuple[Copy, Embedding]], bool]:
     """Like enumerate_copies but keeps the first embedding of each copy."""
-    seen: dict[tuple, tuple[Copy, Embedding]] = {}
-    truncated = False
-    for emb in enumerate_embeddings(pattern, host, pin):
-        copy = Copy(emb.image_vertices, emb.image_edges)
-        k = copy.key()
-        if k in seen:
-            continue
-        if limit is not None and len(seen) >= limit:
-            truncated = True
-            break
-        seen[k] = (copy, emb)
-    return [seen[k] for k in sorted(seen)], truncated
+    seen, truncated = _distinct_copies(pattern, host, pin, limit, within)
+    pairs = [(Copy(*k), emb) for k, emb in seen.items()]
+    pairs.sort(key=lambda pair: pair[0].key())
+    return pairs, truncated
 
 
 def count_copies(
@@ -191,16 +199,7 @@ def count_copies(
     limit: int | None = DEFAULT_COPY_LIMIT,
 ) -> tuple[int, bool]:
     """(number of distinct copies, truncated flag)."""
-    seen: set[tuple] = set()
-    truncated = False
-    for emb in enumerate_embeddings(pattern, host):
-        k = (emb.image_vertices, emb.image_edges)
-        if k in seen:
-            continue
-        if limit is not None and len(seen) >= limit:
-            truncated = True
-            break
-        seen.add(k)
+    seen, truncated = _distinct_copies(pattern, host, None, limit, None)
     return len(seen), truncated
 
 

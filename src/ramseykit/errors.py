@@ -13,6 +13,11 @@ class InvalidVertex(RamseykitError):
     """A vertex id is outside the graph's 0..n-1 range."""
 
 
+class CertificateError(RamseykitError):
+    """A certificate failed its final check before being returned: an
+    internal fault, never a property of the input."""
+
+
 class EnumerationTruncated(RamseykitError):
     """A copy enumeration hit its budget before the answer was decided."""
 

@@ -14,6 +14,7 @@ from itertools import combinations
 from .construction import estimate_density
 from .embed import Copy, DEFAULT_COPY_LIMIT, enumerate_copies, find_embedding
 from .errors import (
+    CertificateError,
     EnumerationTruncated,
     ParamOutOfRange,
     SubsetSpaceTooLarge,
@@ -137,8 +138,8 @@ def is_ramsey(
         return RamseyDecision(DECIDED, True, None, nodes)
     witness = VertexColoring(tuple(colors))
     for he in hg.hyperedges:
-        members = list(he)
-        assert len({witness.colors[w] for w in members}) > 1
+        if len({witness.colors[w] for w in he}) < 2:
+            raise CertificateError(f"witness coloring leaves copy {sorted(he)} monochromatic")
     return RamseyDecision(DECIDED, False, witness, nodes)
 
 

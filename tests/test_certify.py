@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ramseykit
+from ramseykit import certify
 from ramseykit.certify import (
     COLORING,
     EMBEDDING,
@@ -286,3 +293,62 @@ class TestPaletteBound:
     def test_small_targets(self):
         assert palette_bound(3, 2, 1) == 1
         assert palette_bound(3, 2, 2) == 3
+
+
+def test_one_target_search_and_no_induced_subgraph(monkeypatch):
+    real_find = certify.find_embedding
+    searched = []
+
+    def counting_find(pattern, host, *args, **kwargs):
+        searched.append(pattern)
+        return real_find(pattern, host, *args, **kwargs)
+
+    def no_induced_subgraph(*args, **kwargs):
+        raise AssertionError("certify built an induced subgraph")
+
+    monkeypatch.setattr(certify, "find_embedding", counting_find)
+    monkeypatch.setattr(certify, "induced_subgraph", no_induced_subgraph, raising=False)
+    three_pieces = (complete_graph(3), disjoint_union(bowtie(), complete_graph(3)))
+    branches = set()
+    for pattern, target in ACCEPTANCE_PAIRS + [three_pieces]:
+        for host in random_graphs(8, 12, seed=target.n):
+            searched.clear()
+            cert = embed_or_color(host, pattern, target)
+            branches.add(cert.branch)
+            targets = [g for g in searched if g is not pattern]
+            assert len(targets) == 1 and targets[0] is target
+    assert branches == {EMBEDDING, COLORING}
+
+
+OPTIMIZED_CHECKS = """
+import sys
+from ramseykit import certify, ramsey
+from ramseykit.errors import CertificateError
+from ramseykit.graphs import Graph, VertexColoring, complete_graph
+
+if __debug__:
+    sys.exit("assertions are enabled")
+bowtie = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+certify.verify_coloring = lambda *args: (False, None)
+try:
+    certify.embed_or_color(complete_graph(4), complete_graph(3), bowtie)
+except CertificateError:
+    print("certify")
+ramsey.VertexColoring = lambda colors: VertexColoring((0,) * len(colors))
+try:
+    ramsey.is_ramsey(complete_graph(4), complete_graph(3), 2)
+except CertificateError:
+    print("ramsey")
+"""
+
+
+def test_certificate_checks_survive_optimized_mode():
+    src = str(Path(ramseykit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["certify", "ramsey"]

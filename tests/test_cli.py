@@ -1,6 +1,8 @@
 import json
 
+from ramseykit import ramsey
 from ramseykit.cli import run
+from ramseykit.errors import EnumerationTruncated
 from ramseykit.graphs import complete_graph, cycle_graph, write_graph6
 
 from helpers import bowtie
@@ -68,6 +70,16 @@ class TestDispatch:
         )
         assert code == 2
         assert doc["result"]["ramsey"] is None
+
+    def test_ramsey_truncation_unknown_exit_code(self, monkeypatch):
+        def truncated(*args, **kwargs):
+            raise EnumerationTruncated("copy enumeration truncated building hypergraph")
+
+        monkeypatch.setattr(ramsey, "copy_hypergraph", truncated)
+        code, doc = run_json(["ramsey", "--graph", K4_G6, "--pattern", K3_G6, "-r", "2"])
+        assert code == 2
+        assert doc["status"] == "unknown"
+        assert doc["result"] == {"truncated": "copy enumeration truncated building hypergraph"}
 
     def test_dense(self):
         code, doc = run_json(

@@ -3,11 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramseykit.embed import (
+    Copy,
     Embedding,
     automorphism_count,
     contains_copy,
     count_copies,
     enumerate_copies,
+    enumerate_copies_with_witness,
     enumerate_embeddings,
     find_embedding,
 )
@@ -213,9 +215,18 @@ def test_within_matches_induced_subgraph(case):
     pattern, host, mask, pin = case
     sub, kept = induced_subgraph(host, [v for v in range(host.n) if mask >> v & 1])
     local_pin = None if pin is None else (pin[0], kept.index(pin[1]))
-    expected = []
-    for emb in enumerate_embeddings(pattern, sub, local_pin):
+
+    def back(emb):
         m = tuple(kept[v] for v in emb.map)
         edges = frozenset((kept[u], kept[v]) for u, v in emb.image_edges)
-        expected.append(Embedding(emb.pattern_n, m, frozenset(m), edges))
+        return Embedding(emb.pattern_n, m, frozenset(m), edges)
+
+    expected = [back(emb) for emb in enumerate_embeddings(pattern, sub, local_pin)]
     assert list(enumerate_embeddings(pattern, host, pin, within=mask)) == expected
+    pairs, truncated = enumerate_copies_with_witness(pattern, sub, local_pin)
+    expected_pairs = [
+        (Copy(e.image_vertices, e.image_edges), e) for e in (back(emb) for _, emb in pairs)
+    ]
+    assert enumerate_copies_with_witness(pattern, host, pin, within=mask) == (
+        expected_pairs, truncated
+    )
