@@ -174,18 +174,21 @@ def greedy_disjoint_family(
 ) -> list[Copy]:
     """Maximal family of pairwise vertex-disjoint pattern copies inside the
     vertex mask `within` (default: all of g), grown greedily over copies in
-    canonical order.  Maximality holds by construction: the loop stops only
-    when the leftover vertices induce no copy."""
+    canonical order.  The copies are enumerated once: those avoiding the
+    vertices already taken are exactly the copies of what is left, so the
+    scan keeps the canonically first copy of the leftover at every step,
+    and stops only when the leftover vertices induce no copy."""
+    enum = enumerate_copies(pattern, g, limit=limit, within=within)
+    if enum.truncated:
+        raise EnumerationTruncated("copy enumeration truncated in greedy family")
     family: list[Copy] = []
-    remaining = (1 << g.n) - 1 if within is None else within
-    while True:
-        enum = enumerate_copies(pattern, g, limit=limit, within=remaining)
-        if enum.truncated:
-            raise EnumerationTruncated("copy enumeration truncated in greedy family")
-        if not enum.copies:
-            return family
-        family.append(enum.copies[0])
-        remaining &= ~sum(1 << w for w in enum.copies[0].vertices)
+    taken = 0
+    for copy in enum.copies:
+        mask = sum(1 << w for w in copy.vertices)
+        if not mask & taken:
+            family.append(copy)
+            taken |= mask
+    return family
 
 
 def degeneracy_coloring(gamma: Graph) -> VertexColoring:

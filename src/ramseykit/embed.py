@@ -1,15 +1,20 @@
 """Subgraph isomorphism: enumerate, count, and pin copies of a pattern.
 
-Backtracking over a connected pattern ordering that maximizes back-edges,
-with bitmask candidate filtering on the host.  A Copy is an image
-subgraph, identified by its (vertex set, edge set) pair; embeddings per
-copy equal the pattern's automorphism count.
+Backtracking, on an explicit stack, over a connected pattern ordering that
+maximizes back-edges, with bitmask candidate filtering on the host.  A Copy
+is an image subgraph, identified by its (vertex set, edge set) pair.  The
+default embedding stream holds as many embeddings per copy as the pattern
+has automorphisms; with one_per_copy, order constraints from the pattern's
+stabiliser chain (Grochow & Kellis, RECOMB 2007) let only the first of them
+through, so each copy is generated once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from .errors import InvalidVertex
 from .graphs import Edge, Graph
@@ -64,6 +69,42 @@ def _search_plan(pattern: Graph, first: int | None) -> tuple:
     return tuple(order), placed_nbrs, tuple(pattern.degree(v) for v in order)
 
 
+@lru_cache(maxsize=256)
+def _symmetry_plan(pattern: Graph, first: int | None) -> tuple:
+    """Stabiliser-chain symmetry breaking for the plan of (pattern, first).
+
+    Level j holds the automorphisms fixing order[:j] pointwise (with a pin,
+    the chain starts at level 1, so only the pinned role's stabiliser is
+    broken).  w is in the level-j orbit of order[j] iff a search of the
+    pattern into itself extends the prefix order[:j] + (w,).  An embedding
+    is the lexicographically least of its copy's embeddings, in plan order,
+    iff its image at order[j] is below its image at every other orbit
+    member.  Returns, per position i, the earlier positions j whose image
+    must be smaller, and the orbit sizes, whose product is the order of the
+    broken group (orbit-stabiliser).
+    """
+    plan = _search_plan(pattern, first)
+    order, placed_nbrs, pdeg = plan
+    pos = {v: i for i, v in enumerate(order)}
+    everything = (1 << pattern.n) - 1
+    smaller: list[list[int]] = [[] for _ in order]
+    sizes = []
+    for j in range(0 if first is None else 1, pattern.n):
+        # level-j candidates other than order[j] itself, which the identity fixes
+        cand = everything & ~sum(1 << v for v in order[: j + 1])
+        for p in placed_nbrs[j]:
+            cand &= pattern.adj_bits[order[p]]
+        orbit = 1
+        for w in _iter_bits(cand):
+            if pattern.degree(w) != pdeg[j]:
+                continue
+            if next(_assignments(plan, pattern, everything, order[:j] + (w,)), None) is not None:
+                smaller[pos[w]].append(j)
+                orbit += 1
+        sizes.append(orbit)
+    return tuple(map(tuple, smaller)), tuple(sizes)
+
+
 def _iter_bits(mask: int):
     while mask:
         low = mask & -mask
@@ -71,18 +112,73 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
+def _assignments(plan: tuple, host: Graph, within: int, prefix: tuple = (), smaller=None):
+    """The search core: every placement of the plan's pattern inside the
+    host's vertex mask `within` whose first positions hold `prefix`, in
+    lexicographic order of host ids by position.  `smaller[i]` lists earlier
+    positions whose image must be below position i's.  Yields the one
+    assignment list, overwritten as the search goes on.
+
+    An explicit stack: position i keeps its untried candidates and the host
+    vertices taken before it.  Degrees count neighbours inside the mask, so
+    the filter matches the induced subgraph's.
+    """
+    order, placed_nbrs, pdeg = plan
+    pn = len(order)
+    hbits = host.adj_bits
+    hdeg = [(b & within).bit_count() for b in hbits]
+    start = [within] * pn
+    for i, hv in enumerate(prefix):
+        start[i] &= 1 << hv
+    if smaller is None:
+        smaller = ((),) * pn
+    assignment = [0] * pn
+    untried = [0] * pn
+    used = [0] * pn
+    untried[0] = start[0]
+    i, last = 0, pn - 1
+    while True:
+        mask = untried[i]
+        if not mask:
+            if not i:
+                return
+            i -= 1
+            continue
+        low = mask & -mask
+        untried[i] = mask ^ low
+        hv = low.bit_length() - 1
+        if hdeg[hv] < pdeg[i]:
+            continue
+        assignment[i] = hv
+        if i == last:
+            yield assignment
+            continue
+        taken = used[i] | low
+        i += 1
+        used[i] = taken
+        mask = start[i] & ~taken
+        for j in placed_nbrs[i]:
+            mask &= hbits[assignment[j]]
+        for j in smaller[i]:
+            mask &= -2 << assignment[j]
+        untried[i] = mask
+
+
 def enumerate_embeddings(
     pattern: Graph,
     host: Graph,
     pin: tuple[int, int] | None = None,
     within: int | None = None,
+    one_per_copy: bool = False,
 ):
     """Yield every embedding of pattern into host, deterministically.
 
     pin = (role, host_vertex) restricts to embeddings with
     map[role] = host_vertex.  within, a bitmask of host vertices, restricts
     the search to the subgraph they induce; the embeddings and their order
-    are those of the induced subgraph, mapped back to host ids.
+    are those of the induced subgraph, mapped back to host ids.  With
+    one_per_copy, only the first embedding of each copy is yielded: the
+    same stream with repeats of an earlier image removed.
     """
     pn, hn = pattern.n, host.n
     if within is None:
@@ -99,42 +195,19 @@ def enumerate_embeddings(
     if pn == 0:
         yield Embedding(0, (), frozenset(), frozenset())
         return
-    order, placed_nbrs, pdeg = _search_plan(pattern, pin[0] if pin else None)
-    hbits = host.adj_bits
-    # degrees inside the mask, so the filter matches the induced subgraph's
-    hdeg = [(b & within).bit_count() for b in hbits]
-    assignment = [0] * pn
-
-    def emit() -> Embedding:
-        m = [0] * pn
+    first = None if pin is None else pin[0]
+    plan = _search_plan(pattern, first)
+    order = plan[0]
+    smaller = _symmetry_plan(pattern, first)[0] if one_per_copy else None
+    prefix = () if pin is None else (pin[1],)
+    m = [0] * pn
+    for assignment in _assignments(plan, host, within, prefix, smaller):
         for i in range(pn):
             m[order[i]] = assignment[i]
         image_edges = frozenset(
             (m[u], m[v]) if m[u] < m[v] else (m[v], m[u]) for u, v in pattern.edges
         )
-        return Embedding(pn, tuple(m), frozenset(m), image_edges)
-
-    def extend(i: int, used: int):
-        if i == pn:
-            yield emit()
-            return
-        mask = within & ~used
-        for j in placed_nbrs[i]:
-            mask &= hbits[assignment[j]]
-        need = pdeg[i]
-        for hv in _iter_bits(mask):
-            if hdeg[hv] < need:
-                continue
-            assignment[i] = hv
-            yield from extend(i + 1, used | (1 << hv))
-
-    if pin is not None:
-        if not within >> pin[1] & 1 or hdeg[pin[1]] < pdeg[0]:
-            return
-        assignment[0] = pin[1]
-        yield from extend(1, 1 << pin[1])
-    else:
-        yield from extend(0, 0)
+        yield Embedding(pn, tuple(m), frozenset(m), image_edges)
 
 
 def find_embedding(
@@ -149,18 +222,14 @@ def contains_copy(pattern: Graph, host: Graph) -> bool:
     return find_embedding(pattern, host) is not None
 
 
-def _distinct_copies(pattern, host, pin, limit, within) -> tuple[dict, bool]:
-    """First embedding of each distinct copy, keyed by its image, in
-    enumeration order; stops before the (limit + 1)-th distinct copy."""
-    seen: dict[tuple, Embedding] = {}
-    for emb in enumerate_embeddings(pattern, host, pin, within):
-        k = (emb.image_vertices, emb.image_edges)
-        if k in seen:
-            continue
-        if limit is not None and len(seen) >= limit:
-            return seen, True
-        seen[k] = emb
-    return seen, False
+def _distinct_copies(pattern, host, pin, limit, within) -> tuple[list[Embedding], bool]:
+    """First embedding of each distinct copy, in enumeration order; stops
+    at the (limit + 1)-th copy."""
+    stream = enumerate_embeddings(pattern, host, pin, within, one_per_copy=True)
+    firsts = list(stream if limit is None else islice(stream, limit + 1))
+    if limit is not None and len(firsts) > limit:
+        return firsts[:limit], True
+    return firsts, False
 
 
 def enumerate_copies(
@@ -187,8 +256,8 @@ def enumerate_copies_with_witness(
     within: int | None = None,
 ) -> tuple[list[tuple[Copy, Embedding]], bool]:
     """Like enumerate_copies but keeps the first embedding of each copy."""
-    seen, truncated = _distinct_copies(pattern, host, pin, limit, within)
-    pairs = [(Copy(*k), emb) for k, emb in seen.items()]
+    firsts, truncated = _distinct_copies(pattern, host, pin, limit, within)
+    pairs = [(Copy(emb.image_vertices, emb.image_edges), emb) for emb in firsts]
     pairs.sort(key=lambda pair: pair[0].key())
     return pairs, truncated
 
@@ -199,12 +268,11 @@ def count_copies(
     limit: int | None = DEFAULT_COPY_LIMIT,
 ) -> tuple[int, bool]:
     """(number of distinct copies, truncated flag)."""
-    seen, truncated = _distinct_copies(pattern, host, None, limit, None)
-    return len(seen), truncated
+    firsts, truncated = _distinct_copies(pattern, host, None, limit, None)
+    return len(firsts), truncated
 
 
 def automorphism_count(g: Graph) -> int:
-    """Number of edge-preserving bijections of g onto itself."""
-    if g.n == 0:
-        return 1
-    return sum(1 for _ in enumerate_embeddings(g, g))
+    """Number of edge-preserving bijections of g onto itself: the product of
+    the stabiliser chain's orbit sizes, without listing the group."""
+    return math.prod(_symmetry_plan(g, None)[1])

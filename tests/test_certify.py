@@ -18,7 +18,7 @@ from ramseykit.certify import (
     star_family_at_least,
     verify_coloring,
 )
-from ramseykit.embed import contains_copy
+from ramseykit.embed import contains_copy, enumerate_copies
 from ramseykit.errors import EnumerationTruncated, NotDegenerate, ParamOutOfRange
 from ramseykit.graphs import (
     Graph,
@@ -92,6 +92,33 @@ class TestGreedyDisjointFamily:
                 used |= copy.vertices
             rest, _ = induced_subgraph(g, [v for v in range(g.n) if v not in used])
             assert not contains_copy(complete_graph(3), rest)
+
+    def test_same_family_as_round_by_round(self):
+        """One scan over the copies keeps what re-enumerating the leftover
+        and taking its first copy, round after round, keeps."""
+
+        def rounds(g, pattern, within):
+            family, remaining = [], within
+            while True:
+                copies = enumerate_copies(pattern, g, limit=None, within=remaining).copies
+                if not copies:
+                    return family
+                family.append(copies[0])
+                remaining &= ~sum(1 << w for w in copies[0].vertices)
+
+        for pattern in (complete_graph(2), path_graph(3), complete_graph(3), cycle_graph(4)):
+            for g in random_graphs(9, 15, seed=pattern.m * 5 + pattern.n):
+                for within in (None, 0b101101101, 0b111110000):
+                    full = (1 << g.n) - 1 if within is None else within
+                    assert greedy_disjoint_family(g, pattern, within=within) == rounds(
+                        g, pattern, full
+                    )
+
+    def test_truncates_only_when_the_mask_holds_too_many(self):
+        k3 = complete_graph(3)
+        assert len(greedy_disjoint_family(two_triangles(), k3, limit=2)) == 2
+        with pytest.raises(EnumerationTruncated):
+            greedy_disjoint_family(two_triangles(), k3, limit=1)
 
 
 def independent_degeneracy(g: Graph) -> int:

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ramseykit
 from ramseykit.embed import (
     Copy,
     Embedding,
@@ -25,6 +31,7 @@ from ramseykit.graphs import (
 )
 
 from helpers import (
+    all_graphs,
     automorphisms_oracle,
     bowtie,
     copies_oracle,
@@ -59,6 +66,11 @@ class TestAutomorphisms:
             assert automorphism_count(g) == automorphisms_oracle(g)
         for g in random_graphs(5, 20, seed=5):
             assert automorphism_count(g) == automorphisms_oracle(g)
+
+    def test_every_small_graph(self):
+        for n in range(6):
+            for g in all_graphs(n):
+                assert automorphism_count(g) == automorphisms_oracle(g), g
 
 
 class TestEnumerateCopies:
@@ -230,3 +242,87 @@ def test_within_matches_induced_subgraph(case):
     assert enumerate_copies_with_witness(pattern, host, pin, within=mask) == (
         expected_pairs, truncated
     )
+
+
+def first_of_each_copy(stream):
+    """The dedup loop one_per_copy replaces: keep the first embedding of
+    each image, in stream order."""
+    seen = set()
+    for emb in stream:
+        key = (emb.image_vertices, emb.image_edges)
+        if key not in seen:
+            seen.add(key)
+            yield emb
+
+
+def graphs_upto(max_n: int, min_n: int = 0):
+    @st.composite
+    def draw_graph(draw):
+        n = draw(st.integers(min_value=min_n, max_value=max_n))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        return Graph(n, frozenset(edges))
+
+    return draw_graph()
+
+
+@st.composite
+def pattern_host_pin_mask(draw):
+    pattern = draw(graphs_upto(6, min_n=1))
+    host = draw(graphs_upto(9))
+    mask = None
+    if draw(st.booleans()):
+        mask = draw(st.integers(min_value=0, max_value=(1 << host.n) - 1))
+    pin = None
+    if host.n and draw(st.booleans()):
+        pin = (draw(st.integers(0, pattern.n - 1)), draw(st.integers(0, host.n - 1)))
+    return pattern, host, pin, mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern_host_pin_mask())
+def test_one_per_copy_is_the_deduplicated_stream(case):
+    pattern, host, pin, mask = case
+    plain = enumerate_embeddings(pattern, host, pin, mask)
+    once = list(enumerate_embeddings(pattern, host, pin, mask, one_per_copy=True))
+    assert once == list(first_of_each_copy(plain))
+
+
+@pytest.mark.parametrize("pattern", PATTERNS + [bowtie(), cycle_graph(5), complete_graph(5)])
+def test_one_per_copy_against_the_copy_oracle(pattern):
+    for host in random_graphs(7, 8, seed=pattern.m * 31 + pattern.n):
+        keys = [
+            Copy(e.image_vertices, e.image_edges).key()
+            for e in enumerate_embeddings(pattern, host, one_per_copy=True)
+        ]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == copies_oracle(pattern, host)
+
+
+LARGE_SYMMETRY = """
+from ramseykit.embed import automorphism_count, count_copies
+from ramseykit.graphs import complete_graph
+k12 = complete_graph(12)
+print(count_copies(k12, k12), automorphism_count(k12))
+"""
+
+
+def test_complete_graph_symmetry_is_not_enumerated():
+    """479,001,600 embeddings of K12 into itself would take hours; one per
+    copy and the orbit-size product take well under the timeout."""
+    src = str(Path(ramseykit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", LARGE_SYMMETRY],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["(1,", "False)", "479001600"]
+
+
+def test_long_path_needs_no_recursion():
+    path = path_graph(1500)
+    emb = find_embedding(path, path)
+    assert emb is not None and emb.image_edges == path.edges
+    assert count_copies(path, path) == (1, False)
