@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -22,6 +22,7 @@ from .degeneracy import extract_core, is_degenerate
 from .embed import (
     Copy,
     DEFAULT_COPY_LIMIT,
+    _iter_bits,
     automorphism_count,
     count_copies,
     enumerate_copies,
@@ -107,20 +108,7 @@ class ConstructionParams:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "a": self.a,
-            "eps": self.eps,
-            "p": self.p,
-            "delta0": self.delta0,
-            "delta": self.delta,
-            "subset_size": self.subset_size,
-            "k_edges": self.k_edges,
-            "deletion_multiplier": self.deletion_multiplier,
-            "seed": self.seed,
-            "p_clamped": self.p_clamped,
-            "eps_within_claim_bound": self.eps_within_claim_bound,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -225,76 +213,80 @@ class TraceCover:
         }
 
 
-def enumerate_min_trace_covers(
-    core: Graph, pattern: Graph, max_size: int | None = None
-) -> list[TraceCover]:
-    """All inclusion-minimal covers of the core's edges by pattern-embeddable
-    subgraphs (traces).  Minimality: dropping any trace breaks coverage."""
+def _candidate_traces(core: Graph, pattern: Graph) -> tuple[list[int], list[Trace]]:
+    """Edge bitmasks (over core.sorted_edges()) and traces of the core's
+    pattern-embeddable nonempty edge subsets, in increasing bitmask order;
+    a candidate's id is its position."""
     edges = core.sorted_edges()
     k = len(edges)
     if k > MAX_COVER_EDGES:
         raise TooLarge(f"core has {k} edges, exhaustive cap is {MAX_COVER_EDGES}")
-    if k == 0:
-        return []
-    # candidate traces = embeddable nonempty edge subsets
-    candidates: list[tuple[int, Trace]] = []  # (edge bitmask, trace)
+    masks, traces = [], []
     for mask in range(1, 1 << k):
         sub_edges = [edges[i] for i in range(k) if (mask >> i) & 1]
         verts = sorted({w for e in sub_edges for w in e})
         sub, _ = subgraph_from_sets(verts, sub_edges)
         if find_embedding(sub, pattern) is not None:
-            candidates.append((mask, Trace(tuple(verts), tuple(sub_edges))))
-    by_edge: list[list[int]] = [[] for _ in range(k)]
-    for ci, (mask, _) in enumerate(candidates):
-        for i in range(k):
-            if (mask >> i) & 1:
-                by_edge[i].append(ci)
+            masks.append(mask)
+            traces.append(Trace(tuple(verts), tuple(sub_edges)))
+    return masks, traces
 
-    full = (1 << k) - 1
-    found: set[frozenset[int]] = set()
-    cap = max_size if max_size is not None else k
 
-    def rec(covered: int, chosen: list[int]):
-        if covered == full:
-            for ci in chosen:
-                others = 0
-                for cj in chosen:
-                    if cj != ci:
-                        others |= candidates[cj][0]
-                if covered == others:
-                    return  # a trace is redundant: not inclusion-minimal
-            found.add(frozenset(chosen))
+def _min_covers(masks: list[int], k: int, cap: int):
+    """Yield each inclusion-minimal cover of the k edges by at most cap of
+    the edge bitmasks once, as a sorted tuple of mask ids: MMCS (Murakami &
+    Uno, Discrete Appl. Math. 2014).  Branch on the uncovered edge with the
+    fewest candidates left, try them in id order, and let each one's subtree
+    add back only those tried before it.  A branch dies once a chosen mask
+    has no critical edge (one no other chosen mask covers) left."""
+    by_edge = [sum(1 << c for c, m in enumerate(masks) if (m >> i) & 1) for i in range(k)]
+
+    def extend(chosen: tuple, crit: tuple, uncov: int, cand: int):
+        if not uncov:
+            yield tuple(sorted(chosen))
             return
         if len(chosen) >= cap:
             return
-        lowest = 0
-        while (covered >> lowest) & 1:
-            lowest += 1
-        for ci in by_edge[lowest]:
-            if ci in chosen:
-                continue
-            rec(covered | candidates[ci][0], chosen + [ci])
+        edge = min(_iter_bits(uncov), key=lambda i: (by_edge[i] & cand).bit_count())
+        branch = by_edge[edge] & cand
+        cand &= ~branch
+        for c in _iter_bits(branch):
+            m = masks[c]
+            kept = tuple(x & ~m for x in crit)
+            if all(kept):
+                yield from extend(chosen + (c,), kept + (m & uncov,), uncov & ~m, cand)
+            cand |= 1 << c
 
-    rec(0, [])
-    covers = []
-    for chosen in sorted(found, key=lambda s: (len(s), tuple(sorted(s)))):
-        traces = sorted((candidates[ci][1] for ci in chosen), key=lambda t: t.edges)
-        vsets = [set(t.vertices) for t in traces]
-        v_sizes = [len(vs) for vs in vsets]
-        overlaps = []
-        for idx, vs in enumerate(vsets):
-            rest = set().union(*(w for j, w in enumerate(vsets) if j != idx)) if len(vsets) > 1 else set()
-            overlaps.append(len(vs & rest))
-        covers.append(
-            TraceCover(
-                traces=list(traces),
-                v_sizes=v_sizes,
-                overlap_sizes=overlaps,
-                sum_v=sum(v_sizes),
-                size=len(traces),
-            )
-        )
-    return covers
+    if k:
+        yield from extend((), (), (1 << k) - 1, (1 << len(masks)) - 1)
+
+
+def _overlaps(vmasks: list[int]) -> list[int]:
+    """Per vertex bitmask, how many of its vertices another mask shares."""
+    once = twice = 0
+    for vm in vmasks:
+        twice |= once & vm
+        once |= vm
+    return [(vm & twice).bit_count() for vm in vmasks]
+
+
+def _trace_cover(traces: list[Trace], ids: tuple) -> TraceCover:
+    chosen = sorted((traces[c] for c in ids), key=lambda t: t.edges)
+    v_sizes = [len(t.vertices) for t in chosen]
+    overlaps = _overlaps([sum(1 << v for v in t.vertices) for t in chosen])
+    return TraceCover(chosen, v_sizes, overlaps, sum(v_sizes), len(chosen))
+
+
+def enumerate_min_trace_covers(
+    core: Graph, pattern: Graph, max_size: int | None = None
+) -> list[TraceCover]:
+    """All inclusion-minimal covers of the core's edges by pattern-embeddable
+    subgraphs (traces), each emitted once, in (size, candidate ids) order.
+    Minimality: dropping any trace breaks coverage.  max_size bounds the
+    search depth, so no cover of more traces is built."""
+    masks, traces = _candidate_traces(core, pattern)
+    found = _min_covers(masks, core.m, core.m if max_size is None else max_size)
+    return [_trace_cover(traces, ids) for ids in sorted(found, key=lambda c: (len(c), c))]
 
 
 @dataclass
@@ -324,36 +316,40 @@ class CoverReport:
 def verify_cover_inequality(core: Graph, pattern: Graph) -> CoverReport:
     """Check sum(v_i) >= core order + cover size over every in-scope
     inclusion-minimal trace cover (size >= 2, all overlaps >= 2); report the
-    minimizing cover and whether every cover satisfies the overlap property.
-    """
-    covers = enumerate_min_trace_covers(core, pattern)
+    minimizing cover (the first minimum in (size, candidate ids) order) and
+    whether every cover satisfies the overlap property.  The covers are
+    streamed; only the reported ones become TraceCover objects."""
+    masks, traces = _candidate_traces(core, pattern)
+    vmasks = [sum(1 << v for v in t.vertices) for t in traces]
     b = core.n
-    in_scope = [
-        c for c in covers if c.size >= 2 and all(s >= 2 for s in c.overlap_sizes)
-    ]
-    violations = [c for c in in_scope if c.sum_v < b + c.size]
-    min_slack = None
-    min_cover = None
-    equality = 0
-    for c in in_scope:
-        slack = c.sum_v - (b + c.size)
+    total = in_scope = equality = 0
+    all_ge2 = True
+    best = None  # (slack, size, ids)
+    violations = []
+    for ids in _min_covers(masks, core.m, core.m):
+        total += 1
+        covered = [vmasks[c] for c in ids]
+        if min(_overlaps(covered)) < 2:  # also every single-trace cover
+            all_ge2 = False
+            continue
+        in_scope += 1
+        slack = sum(vm.bit_count() for vm in covered) - (b + len(ids))
         if slack == 0:
             equality += 1
-        if min_slack is None or slack < min_slack:
-            min_slack = slack
-            min_cover = c
-    all_ge2 = bool(covers) and all(
-        all(s >= 2 for s in c.overlap_sizes) for c in covers
-    )
+        elif slack < 0:
+            violations.append(ids)
+        if best is None or (slack, len(ids), ids) < best:
+            best = (slack, len(ids), ids)
+    violations.sort(key=lambda c: (len(c), c))
     return CoverReport(
         core_n=b,
-        covers_total=len(covers),
-        covers_in_scope=len(in_scope),
-        violations=violations,
-        min_slack=min_slack,
-        min_cover=min_cover,
+        covers_total=total,
+        covers_in_scope=in_scope,
+        violations=[_trace_cover(traces, ids) for ids in violations],
+        min_slack=None if best is None else best[0],
+        min_cover=None if best is None else _trace_cover(traces, best[2]),
         equality_cases=equality,
-        all_covers_overlap_ge2=all_ge2,
+        all_covers_overlap_ge2=total > 0 and all_ge2,
     )
 
 
@@ -496,18 +492,7 @@ class CopyCountStats:
     exponent_dominant: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "counts": self.counts,
-            "mean": self.mean,
-            "max": self.max,
-            "sqrt_n": self.sqrt_n,
-            "frac_within_sqrt": self.frac_within_sqrt,
-            "cover_size_min": self.cover_size_min,
-            "exponent_bound": self.exponent_bound,
-            "cover_size_max": self.cover_size_max,
-            "exponent_dominant": self.exponent_dominant,
-        }
+        return asdict(self)
 
 
 def _density_trial(args) -> int:
@@ -572,8 +557,8 @@ def estimate_copy_count(
         for t in range(trials)
     ]
     counts = _run_trials(_copy_count_trial, jobs, tasks)
-    covers = enumerate_min_trace_covers(core, pattern)
-    sizes = [c.size for c in covers if c.size >= 2]
+    masks, _ = _candidate_traces(core, pattern)
+    sizes = [len(ids) for ids in _min_covers(masks, core.m, core.m) if len(ids) >= 2]
     ell_min = min(sizes) if sizes else None
     ell_max = max(sizes) if sizes else None
     sqrt_n = math.sqrt(n)

@@ -11,6 +11,7 @@ through, so each copy is generated once.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,15 +54,27 @@ class CopyEnumeration:
 def _search_plan(pattern: Graph, first: int | None) -> tuple:
     """Vertex order maximizing already-placed neighbors at every step, each
     step's placed-neighbor positions and degree; shared by repeated searches."""
-    order = [] if first is None else [first]
-    seen = set(order)
-    while len(order) < pattern.n:
-        best = max(
-            (v for v in range(pattern.n) if v not in seen),
-            key=lambda v: (len(pattern.adj[v] & seen), pattern.degree(v), -v),
-        )
-        order.append(best)
-        seen.add(best)
+    # a lazy heap on (-placed neighbours, -degree, v): a vertex gets a fresh
+    # entry each time a neighbour is placed, and stale entries are skipped
+    placed = [0] * pattern.n  # -1 once the vertex itself is placed
+    heap = [(0, -pattern.degree(v), v) for v in range(pattern.n) if v != first]
+    heapq.heapify(heap)
+    order = []
+
+    def place(v: int) -> None:
+        order.append(v)
+        placed[v] = -1
+        for w in pattern.adj[v]:
+            if placed[w] >= 0:
+                placed[w] += 1
+                heapq.heappush(heap, (-placed[w], -pattern.degree(w), w))
+
+    if first is not None:
+        place(first)
+    while heap:
+        key, _, v = heapq.heappop(heap)
+        if -key == placed[v]:
+            place(v)
     pos = {v: i for i, v in enumerate(order)}
     placed_nbrs = tuple(
         tuple(pos[w] for w in pattern.adj[v] if pos[w] < i) for i, v in enumerate(order)

@@ -102,40 +102,31 @@ def is_ramsey(
         members = sorted(he)
         closing[members[-1]].append(members)
 
+    # vertices go in id order on an explicit stack; colors[v] is the colour
+    # last tried at v, and used[v] the highest colour among vertices < v.
+    # A new colour is introduced only as used[v] + 1, killing colour symmetry.
     colors = [-1] * n
+    used = [-1] * (n + 1)
     nodes = 0
-
-    class _Budget(Exception):
-        pass
-
-    def backtrack(v: int, max_used: int) -> bool:
-        """True iff a proper coloring completes from this prefix."""
-        nonlocal nodes
-        if v == n:
-            return True
-        # new color introduced only as max_used+1, killing color symmetry
-        top = min(r - 1, max_used + 1)
-        for c in range(top + 1):
+    v = 0
+    while v < n:
+        c, top = colors[v] + 1, min(r - 1, used[v] + 1)
+        while c <= top:
             nodes += 1
             if nodes > node_budget:
-                raise _Budget()
-            colors[v] = c
-            ok = True
-            for members in closing[v]:
-                if all(colors[w] == c for w in members[:-1]):
-                    ok = False
-                    break
-            if ok and backtrack(v + 1, max(max_used, c)):
-                return True
-        colors[v] = -1
-        return False
-
-    try:
-        found = backtrack(0, -1)
-    except _Budget:
-        return RamseyDecision(UNKNOWN, None, None, nodes)
-    if not found:
-        return RamseyDecision(DECIDED, True, None, nodes)
+                return RamseyDecision(UNKNOWN, None, None, nodes)
+            if not any(all(colors[w] == c for w in members[:-1]) for members in closing[v]):
+                break
+            c += 1
+        if c > top:
+            if v == 0:
+                return RamseyDecision(DECIDED, True, None, nodes)
+            colors[v] = -1
+            v -= 1
+            continue
+        colors[v] = c
+        used[v + 1] = max(used[v], c)
+        v += 1
     witness = VertexColoring(tuple(colors))
     for he in hg.hyperedges:
         if len({witness.colors[w] for w in he}) < 2:

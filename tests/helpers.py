@@ -3,14 +3,16 @@
 Everything here must stay independent of the implementation paths it
 checks: connectivity by plain BFS, embeddings by raw injections, Ramsey
 decisions by full coloring enumeration, decompositions by edge-set
-partition search.
+partition search, minimal trace covers by trying every subset of traces.
 """
 
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import combinations, permutations
 from math import comb
+from operator import or_
 
 from ramseykit.graphs import Graph
 
@@ -54,6 +56,22 @@ def random_graphs(n: int, count: int, seed: int):
     for _ in range(count):
         m = rng.randint(0, len(pairs))
         yield Graph(n, frozenset(rng.sample(pairs, m)))
+
+
+def nonisomorphic_graphs(max_n: int, max_m: int):
+    """The first labeled graph of each isomorphism class, in all_graphs
+    order, for every n <= max_n, keeping those with at most max_m edges."""
+    for n in range(max_n + 1):
+        seen = set()
+        perms = list(permutations(range(n)))
+        for g in all_graphs(n):
+            if g.m > max_m:
+                continue
+            forms = [tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in g.edges))
+                     for p in perms]
+            if min(forms) not in seen:
+                seen.add(min(forms))
+                yield g
 
 
 def bfs_components(n: int, adj) -> list[set[int]]:
@@ -273,6 +291,39 @@ def _orderable(pieces: list[frozenset]) -> bool:
                 reachable.add(nxt)
                 frontier.append(nxt)
     return (1 << k) - 1 in reachable
+
+
+def min_trace_covers_oracle(
+    core: Graph, pattern: Graph, max_size: int | None = None
+) -> list[tuple[int, ...]]:
+    """Inclusion-minimal covers of the core's edges by pattern-embeddable
+    edge subsets (traces), by brute force.
+
+    Traces are the nonempty edge subsets that embeddings_oracle embeds;
+    every subset of at most k traces (k = the core's edge count, or
+    max_size) is tried, and a cover is minimal when removing any one trace
+    uncovers an edge.  Each cover is the sorted tuple of its traces' edge
+    bitmasks over the sorted core edges; covers come in (size, masks) order.
+    """
+    edges = sorted(core.edges)
+    k = len(edges)
+    traces = []
+    for mask in range(1, 1 << k):
+        sub_edges = [edges[i] for i in range(k) if (mask >> i) & 1]
+        verts = sorted({w for e in sub_edges for w in e})
+        relabel = {v: i for i, v in enumerate(verts)}
+        sub = Graph(len(verts), frozenset((relabel[u], relabel[v]) for u, v in sub_edges))
+        if embeddings_oracle(sub, pattern):
+            traces.append(mask)
+    full = (1 << k) - 1
+    covers = []
+    for size in range(1, (k if max_size is None else max_size) + 1):
+        for chosen in combinations(traces, size):
+            if reduce(or_, chosen) == full and all(
+                reduce(or_, chosen[:i] + chosen[i + 1:], 0) != full for i in range(size)
+            ):
+                covers.append(chosen)
+    return sorted(covers, key=lambda c: (len(c), c))
 
 
 def c4_triangle_union_mean(n: int, p: float) -> float:

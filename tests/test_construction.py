@@ -1,9 +1,15 @@
+import json
 import math
+import os
 import statistics
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import ramseykit
 from ramseykit.construction import (
     ConstructionParams,
     CopySample,
@@ -32,6 +38,8 @@ from helpers import (
     c4_triangle_union_mean,
     copies_oracle,
     diamond,
+    min_trace_covers_oracle,
+    nonisomorphic_graphs,
     random_graphs,
 )
 
@@ -189,6 +197,23 @@ class TestTraceCovers:
         with pytest.raises(TooLarge):
             enumerate_min_trace_covers(complete_graph(6), complete_graph(5))
 
+    @pytest.mark.parametrize("max_size", [None, 2])
+    @pytest.mark.parametrize("pattern", [K3, path_graph(3)], ids=["K3", "P3"])
+    def test_matches_brute_force_oracle(self, pattern, max_size):
+        """Same covers, each once, in (size, sorted candidate edge masks)
+        order, on every graph of at most 5 vertices and 6 edges (one
+        labeling per isomorphism class)."""
+        graphs = 0
+        for core in nonisomorphic_graphs(5, 6):
+            index = {e: i for i, e in enumerate(core.sorted_edges())}
+            got = [
+                tuple(sorted(sum(1 << index[e] for e in t.edges) for t in c.traces))
+                for c in enumerate_min_trace_covers(core, pattern, max_size=max_size)
+            ]
+            assert got == min_trace_covers_oracle(core, pattern, max_size), core.edges
+            graphs += 1
+        assert graphs == 45
+
     def test_max_size_filter(self):
         covers = enumerate_min_trace_covers(C4, K3, max_size=2)
         assert all(c.size <= 2 for c in covers)
@@ -244,6 +269,25 @@ class TestCoverInequality:
             assert rep.violations == []
             cores_seen += 1
         assert cores_seen > 10
+
+    def test_k5_covers_in_seconds(self):
+        """K5 has 241,972 minimal K3-trace covers, which leaf filtering took
+        about 50 s to list; the CLI document must come well inside 60 s.
+        min_slack and covers_in_scope were checked against that slower
+        enumeration."""
+        src = str(Path(ramseykit.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-m", "ramseykit.cli", "covers", "--graph", "D~{", "--pattern", "Bw"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        rep = json.loads(done.stdout)["result"]
+        assert rep["covers_total"] == 241972
+        assert rep["covers_in_scope"] == 241972
+        assert rep["violations"] == []
+        assert rep["min_slack"] == 3
 
 
 class TestConstruct:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import ramseykit
 from ramseykit.embed import (
     Copy,
     Embedding,
+    _search_plan,
     automorphism_count,
     contains_copy,
     count_copies,
@@ -326,3 +328,33 @@ def test_long_path_needs_no_recursion():
     emb = find_embedding(path, path)
     assert emb is not None and emb.image_edges == path.edges
     assert count_copies(path, path) == (1, False)
+
+
+def _max_order(pattern: Graph, first: int | None) -> tuple[int, ...]:
+    """The plan order as a max over every unplaced vertex at each step."""
+    order = [] if first is None else [first]
+    seen = set(order)
+    while len(order) < pattern.n:
+        best = max(
+            (v for v in range(pattern.n) if v not in seen),
+            key=lambda v: (len(pattern.adj[v] & seen), pattern.degree(v), -v),
+        )
+        order.append(best)
+        seen.add(best)
+    return tuple(order)
+
+
+def test_search_plan_order_matches_max_formulation():
+    for n in range(1, 8):
+        for g in random_graphs(n, 40, seed=n):
+            for first in (None, *range(n)):
+                assert _search_plan.__wrapped__(g, first)[0] == _max_order(g, first)
+
+
+def test_search_plan_is_near_linear():
+    path = path_graph(1500)
+    for first in (None, 750):
+        start = time.perf_counter()
+        order = _search_plan.__wrapped__(path, first)[0]
+        assert time.perf_counter() - start < 0.1
+        assert sorted(order) == list(range(1500))

@@ -96,6 +96,14 @@ class TestIsRamsey:
         assert dec.status == UNKNOWN
         assert dec.ramsey is None
 
+    def test_long_path_needs_no_recursion(self):
+        path = path_graph(1500)
+        dec = is_ramsey(path, complete_graph(2), 2)
+        assert dec.status == DECIDED and dec.ramsey is False
+        assert all(dec.witness.colors[u] != dec.witness.colors[v] for u, v in path.edges)
+        # even vertices keep colour 0, odd ones (750) try 0 before 1
+        assert dec.nodes == 1500 + 750
+
     def test_bad_r(self):
         with pytest.raises(ParamOutOfRange):
             is_ramsey(complete_graph(3), complete_graph(2), 0)
