@@ -12,18 +12,21 @@ branch is returned exactly when the host contains the target.  Otherwise
 the host is colored level by level, each level a vertex mask of the host:
 vertices carrying few pairwise-almost-disjoint pattern copies in a chosen
 role are colored via a bounded-out-degree auxiliary digraph, and the rest
-recurses on the target minus its last attached piece.  No level needs a
+goes on to the target minus its last attached piece.  No level needs a
 search of its own: every vertex of the rest carries b - 1 copies that meet
 only there, and at most b - 2 of them meet an embedding of the smaller
 target, so such an embedding would extend to one of the whole target.
-"""
+
+The decomposition, and each level's role, b and palette arithmetic,
+depend only on (target, pattern): they form a target plan, built once per
+pair and cached.  A caller-supplied decomposition builds its plan uncached."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
-from .degeneracy import ForestDecomposition, Piece, forest_decomposition
+from .degeneracy import ForestDecomposition, forest_decomposition
 from .embed import (
     Copy,
     DEFAULT_COPY_LIMIT,
@@ -239,98 +242,114 @@ def verify_coloring(
 def _solve(
     host: Graph,
     pattern: Graph,
-    active: int,
-    plist: list[tuple[Piece, int | None]],
-    depth: int,
+    levels: tuple,
+    final: tuple[str, int],
     copy_limit: int | None,
 ) -> tuple[dict[int, int], list[LevelStats]]:
-    """Color the vertices in the mask `active`, which induce no copy of the
-    target made of the pieces in plist, with no monochromatic pattern copy.
-    Returns (vertex -> color, one LevelStats per level)."""
-    a = pattern.n
-    b_cur = len({v for piece, _ in plist for v in piece.vertices})
-    stats = LevelStats(depth=depth, case="", host_size=active.bit_count(), pieces=len(plist))
+    """Color a host that contains no copy of the target, with no
+    monochromatic pattern copy, one plan level at a time.  Each glued level
+    colors U, the active vertices without b_cur - 1 copies in the role
+    pairwise meeting only there, and leaves the rest active for the target
+    minus the detached piece; a level's colors start past the earlier
+    levels' palettes.  Returns (vertex -> color, one LevelStats per level)."""
+    active = (1 << host.n) - 1
+    colors: dict[int, int] = {}
+    stats: list[LevelStats] = []
+    offset = 0
+    for depth, (pieces, b_cur, role, out_cap) in enumerate(levels):
+        level = LevelStats(depth, "glued", active.bit_count(), pieces)
+        u_mask = sub_active = 0
+        for v in _iter_bits(active):
+            ok, _ = star_family_at_least(
+                host, pattern, role, v, b_cur - 1, limit=copy_limit, within=active
+            )
+            if ok:
+                sub_active |= 1 << v
+            else:
+                u_mask |= 1 << v
+        level.u_size = u_mask.bit_count()
 
-    if len(plist) == 1:
+        # color U through the bounded-out-degree digraph
+        u_verts = list(_iter_bits(u_mask))
+        local = {v: j for j, v in enumerate(u_verts)}
+        arcs: set[tuple[int, int]] = set()
+        for v in u_verts:
+            copies, truncated = enumerate_copies_with_witness(
+                pattern, host, pin=(role, v), limit=copy_limit, within=u_mask
+            )
+            if truncated:
+                raise EnumerationTruncated("pinned enumeration truncated inside U")
+            union: set[int] = {v}
+            for copy, _ in copies:
+                if copy.vertices & union == {v}:
+                    union |= copy.vertices
+            reach = union - {v}
+            assert len(reach) <= out_cap, "out-degree bound of the auxiliary digraph"
+            for u in reach:
+                arcs.add((min(local[u], local[v]), max(local[u], local[v])))
+        u_coloring = degeneracy_coloring(Graph(len(u_verts), frozenset(arcs)))
+        level.colors_here = u_coloring.palette_size
+        assert level.colors_here <= 2 * out_cap + 1, "degeneracy palette bound"
+        colors.update((v, offset + c) for v, c in zip(u_verts, u_coloring.colors))
+        offset += level.colors_here
+        stats.append(level)
+        active = sub_active
+
+    case, pieces = final
+    level = LevelStats(len(levels), case, active.bit_count(), pieces)
+    stats.append(level)
+    if case == "single-piece":
         # single piece embeds into the pattern, so a pattern-free host is
         # exactly a target-free host: one color suffices
-        stats.case = "single-piece"
-        stats.colors_here = 1 if active else 0
-        return {v: 0 for v in _iter_bits(active)}, [stats]
+        level.colors_here = 1 if active else 0
+        colors.update((v, offset) for v in _iter_bits(active))
+        return colors, stats
+    family = greedy_disjoint_family(host, pattern, limit=copy_limit, within=active)
+    # one piece per copy would embed the target
+    assert len(family) < pieces, "too many disjoint copies for a target-free host"
+    for j, copy in enumerate(family):
+        verts = sorted(copy.vertices)
+        colors[verts[0]] = offset + 2 * j
+        for w in verts[1:]:
+            colors[w] = offset + 2 * j + 1
+    leftover = [w for w in _iter_bits(active) if w not in colors]
+    for w in leftover:
+        colors[w] = offset + 2 * len(family)
+    level.colors_here = 2 * len(family) + (1 if leftover else 0)
+    return colors, stats
 
-    if all(att is None for _, att in plist):
-        stats.case = "disjoint"
-        family = greedy_disjoint_family(host, pattern, limit=copy_limit, within=active)
-        # one piece per copy would embed the target
-        assert len(family) < len(plist), "too many disjoint copies for a target-free host"
-        colors: dict[int, int] = {}
-        for j, copy in enumerate(family):
-            verts = sorted(copy.vertices)
-            colors[verts[0]] = 2 * j
-            for w in verts[1:]:
-                colors[w] = 2 * j + 1
-        leftover = [w for w in _iter_bits(active) if w not in colors]
-        for w in leftover:
-            colors[w] = 2 * len(family)
-        stats.colors_here = 2 * len(family) + (1 if leftover else 0)
-        return colors, [stats]
 
-    # glued case: detach the last piece that meets the earlier union
-    stats.case = "glued"
-    i = max(idx for idx, (_, att) in enumerate(plist) if att is not None)
-    piece, x = plist[i]
-    rest = plist[:i] + plist[i + 1:]
-    assert b_cur >= 3, "glued case needs at least three target vertices"
+def _build_target_plan(target: Graph, pattern: Graph, dec: ForestDecomposition) -> tuple:
+    """Everything the coloring needs that does not depend on the host:
+    (decomposition size, palette bound, glued levels, final case).  Each
+    glued level detaches the last piece that meets the earlier union and
+    is (pieces, b_cur, role, out_cap), the role taken from the least
+    embedding of the piece into the pattern; the final case is
+    ("single-piece" or "disjoint", pieces)."""
+    plist = list(zip(dec.pieces, dec.attachments))
+    levels = []
+    while len(plist) > 1 and any(att is not None for _, att in plist):
+        i = max(idx for idx, (_, att) in enumerate(plist) if att is not None)
+        piece, x = plist[i]
+        b_cur = len({v for p, _ in plist for v in p.vertices})
+        assert b_cur >= 3, "glued case needs at least three target vertices"
+        psub, pmap = subgraph_from_sets(piece.vertices, piece.edges)
+        eta = min(enumerate_embeddings(psub, pattern), key=lambda e: e.map, default=None)
+        assert eta is not None, "decomposition pieces embed into the pattern"
+        role = eta.map[pmap.index(x)]
+        levels.append((len(plist), b_cur, role, (pattern.n - 1) * (b_cur - 2)))
+        del plist[i]
+    final = ("single-piece" if len(plist) == 1 else "disjoint", len(plist))
+    bound = palette_bound(pattern.n, target.n, dec.size)
+    return dec.size, bound, tuple(levels), final
 
-    psub, pmap = subgraph_from_sets(piece.vertices, piece.edges)
-    eta = min(enumerate_embeddings(psub, pattern), key=lambda e: e.map, default=None)
-    assert eta is not None, "decomposition pieces embed into the pattern"
-    role = eta.map[pmap.index(x)]
 
-    # U: vertices without b_cur - 1 copies in the role, pairwise meeting
-    # only there; the others carry the rest of the target
-    u_mask = sub_active = 0
-    for v in _iter_bits(active):
-        ok, _ = star_family_at_least(
-            host, pattern, role, v, b_cur - 1, limit=copy_limit, within=active
-        )
-        if ok:
-            sub_active |= 1 << v
-        else:
-            u_mask |= 1 << v
-    stats.u_size = u_mask.bit_count()
-
-    # color U through the bounded-out-degree digraph
-    u_verts = list(_iter_bits(u_mask))
-    local = {v: j for j, v in enumerate(u_verts)}
-    out_cap = (a - 1) * (b_cur - 2)
-    arcs: set[tuple[int, int]] = set()
-    for v in u_verts:
-        copies, truncated = enumerate_copies_with_witness(
-            pattern, host, pin=(role, v), limit=copy_limit, within=u_mask
-        )
-        if truncated:
-            raise EnumerationTruncated("pinned enumeration truncated inside U")
-        union: set[int] = {v}
-        for copy, _ in copies:
-            if copy.vertices & union == {v}:
-                union |= copy.vertices
-        reach = union - {v}
-        assert len(reach) <= out_cap, "out-degree bound of the auxiliary digraph"
-        for u in reach:
-            arcs.add((min(local[u], local[v]), max(local[u], local[v])))
-    u_coloring = degeneracy_coloring(Graph(len(u_verts), frozenset(arcs)))
-    colors_u = u_coloring.palette_size
-    assert colors_u <= 2 * out_cap + 1, "degeneracy palette bound"
-    stats.colors_here = colors_u
-
-    child_colors, child_stats = _solve(
-        host, pattern, sub_active, rest, depth + 1, copy_limit
-    )
-    colors = dict(zip(u_verts, u_coloring.colors))
-    for w, c in child_colors.items():
-        colors[w] = colors_u + c
-    return colors, [stats] + child_stats
+@lru_cache(maxsize=256)
+def _target_plan(target: Graph, pattern: Graph) -> tuple | None:
+    """The plan of target over its minimum forest decomposition, shared by
+    every host; None when target is not degenerate over pattern."""
+    dec = forest_decomposition(target, pattern)
+    return None if dec is None else _build_target_plan(target, pattern, dec)
 
 
 def palette_bound(pattern_n: int, target_n: int, pieces: int) -> int:
@@ -361,17 +380,18 @@ def embed_or_color(
     if target.n < 1:
         raise ParamOutOfRange("target needs at least one vertex")
     if decomposition is None:
-        decomposition = forest_decomposition(target, pattern)
-    if decomposition is None:
+        plan = _target_plan(target, pattern)
+    else:
+        plan = _build_target_plan(target, pattern, decomposition)
+    if plan is None:
         raise NotDegenerate("target has a block that does not embed into the pattern")
-    bound = palette_bound(pattern.n, target.n, decomposition.size)
-    plist = list(zip(decomposition.pieces, decomposition.attachments))
+    pieces, bound, levels, final = plan
     certificate = partial(
         Certificate,
         palette_bound=bound,
         pattern_n=pattern.n,
         target_n=target.n,
-        pieces=decomposition.size,
+        pieces=pieces,
     )
 
     emb = find_embedding(target, host)
@@ -383,14 +403,14 @@ def embed_or_color(
             or not all(host.has_edge(mapping[u], mapping[v]) for u, v in target.edges)
         ):
             raise CertificateError("embedding certificate failed verification")
-        level = LevelStats(0, "direct-embedding", host.n, len(plist))
+        level = LevelStats(0, "direct-embedding", host.n, pieces)
         return certificate(
             branch=EMBEDDING, embedding=mapping, coloring=None, verified=True,
             levels=[level],
         )
 
     try:
-        colors, levels = _solve(host, pattern, (1 << host.n) - 1, plist, 0, copy_limit)
+        colors, stats = _solve(host, pattern, levels, final, copy_limit)
     except EnumerationTruncated as exc:
         return certificate(
             branch=UNKNOWN, embedding=None, coloring=None, verified=False,
@@ -406,5 +426,5 @@ def embed_or_color(
         raise CertificateError("coloring certificate exceeds its palette bound")
     return certificate(
         branch=COLORING, embedding=None, coloring=coloring, verified=True,
-        levels=levels,
+        levels=stats,
     )

@@ -15,7 +15,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
+from operator import or_
 
 from .errors import InvalidVertex
 from .graphs import Edge, Graph
@@ -97,19 +98,23 @@ def _symmetry_plan(pattern: Graph, first: int | None) -> tuple:
     broken group (orbit-stabiliser).
     """
     plan = _search_plan(pattern, first)
-    order, placed_nbrs, pdeg = plan
+    order, placed_nbrs, _ = plan
     pos = {v: i for i, v in enumerate(order)}
     everything = (1 << pattern.n) - 1
+    # an automorphism preserves each vertex's sorted neighbour degrees, so
+    # only candidates sharing them with order[j] need a self-search
+    nbr_degrees = [sorted(pattern.degree(u) for u in pattern.adj[v]) for v in range(pattern.n)]
+    prefix_bits = list(accumulate((1 << v for v in order), or_))
     smaller: list[list[int]] = [[] for _ in order]
     sizes = []
     for j in range(0 if first is None else 1, pattern.n):
         # level-j candidates other than order[j] itself, which the identity fixes
-        cand = everything & ~sum(1 << v for v in order[: j + 1])
+        cand = everything & ~prefix_bits[j]
         for p in placed_nbrs[j]:
             cand &= pattern.adj_bits[order[p]]
         orbit = 1
         for w in _iter_bits(cand):
-            if pattern.degree(w) != pdeg[j]:
+            if nbr_degrees[w] != nbr_degrees[order[j]]:
                 continue
             if next(_assignments(plan, pattern, everything, order[:j] + (w,)), None) is not None:
                 smaller[pos[w]].append(j)

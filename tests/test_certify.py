@@ -322,6 +322,54 @@ class TestPaletteBound:
         assert palette_bound(3, 2, 2) == 3
 
 
+def test_target_plan_is_built_once_per_pair(monkeypatch):
+    real = certify.forest_decomposition
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "forest_decomposition", counting)
+    certify._target_plan.cache_clear()
+    hosts = list(random_graphs(8, 12, seed=3))
+    branches = {embed_or_color(host, complete_graph(3), bowtie()).branch for host in hosts}
+    assert len(hosts) == 12 and branches == {EMBEDDING, COLORING}
+    assert len(calls) == 1
+
+
+def test_supplied_decomposition_builds_an_uncached_plan():
+    from ramseykit.degeneracy import forest_decomposition
+
+    pattern, target = complete_graph(3), path_graph(3)
+    dec = forest_decomposition(target, pattern, node_budget=0)
+    assert dec.size == 2 and not dec.minimal
+    host = Graph.from_edges(5, [(0, 1), (2, 3)])
+    cert = embed_or_color(host, pattern, target, decomposition=dec)
+    assert (cert.pieces, cert.palette_bound) == (2, 10)
+    assert_certificate_sound(host, pattern, target, cert)
+    cert = embed_or_color(host, pattern, target)
+    assert (cert.pieces, cert.palette_bound) == (1, 5)
+    assert_certificate_sound(host, pattern, target, cert)
+
+
+def test_cold_and_warm_plans_give_equal_certificates():
+    from ramseykit.degeneracy import forest_decomposition
+
+    pairs = ACCEPTANCE_PAIRS + [
+        (path_graph(3), path_graph(5)),
+        (complete_graph(3), disjoint_union(bowtie(), complete_graph(3))),
+    ]
+    for pattern, target in pairs:
+        dec = forest_decomposition(target, pattern)
+        for host in random_graphs(8, 10, seed=target.m):
+            certify._target_plan.cache_clear()
+            cold = embed_or_color(host, pattern, target).to_json_dict()
+            warm = embed_or_color(host, pattern, target).to_json_dict()
+            supplied = embed_or_color(host, pattern, target, decomposition=dec)
+            assert cold == warm == supplied.to_json_dict()
+
+
 def test_one_target_search_and_no_induced_subgraph(monkeypatch):
     real_find = certify.find_embedding
     searched = []

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramseykit
+from ramseykit import embed
 from ramseykit.embed import (
     Copy,
     Embedding,
     _search_plan,
+    _symmetry_plan,
     automorphism_count,
     contains_copy,
     count_copies,
@@ -358,3 +360,20 @@ def test_search_plan_is_near_linear():
         order = _search_plan.__wrapped__(path, first)[0]
         assert time.perf_counter() - start < 0.1
         assert sorted(order) == list(range(1500))
+
+
+def test_symmetry_plan_searches_only_matching_neighbour_degrees(monkeypatch):
+    """On a path only the mirror image of the first vertex shares its sorted
+    neighbour degrees, so the plan needs one self-search, not one per
+    interior vertex."""
+    real = embed._assignments
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(embed, "_assignments", counting)
+    smaller, sizes = _symmetry_plan.__wrapped__(path_graph(200), None)
+    assert len(calls) < 10
+    assert sizes[0] == 2 and all(size == 1 for size in sizes[1:])
