@@ -142,24 +142,24 @@ def star_family_at_least(
                 mask |= 1 << w
         masks.append(mask)
 
+    # depth first over copies in enumeration order: take the next copy
+    # disjoint from the chosen ones while enough copies are left to reach
+    # t, else drop the last choice and resume after it
     chosen: list[int] = []
-
-    def pack(idx: int, used: int) -> bool:
-        if len(chosen) == t:
-            return True
-        if len(chosen) + (len(masks) - idx) < t:
-            return False
-        for j in range(idx, len(masks)):
-            if masks[j] & used:
-                continue
-            chosen.append(j)
-            if pack(j + 1, used | masks[j]):
-                return True
-            chosen.pop()
-        return False
-
-    if not pack(0, 0):
-        return False, None
+    used = 0
+    start = 0
+    while len(chosen) < t:
+        for j in range(start, len(masks) - t + len(chosen) + 1):
+            if not masks[j] & used:
+                chosen.append(j)
+                used |= masks[j]
+                break
+        else:
+            if not chosen:
+                return False, None
+            j = chosen.pop()
+            used ^= masks[j]
+        start = j + 1
     family = StarFamily(
         center=v,
         role=role,

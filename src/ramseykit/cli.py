@@ -13,7 +13,8 @@ import sys
 
 from . import certify, construction, ramsey
 from .blocks import block_decomposition
-from .degeneracy import forest_decomposition, is_degenerate
+from .degeneracy import DEFAULT_NODE_BUDGET, forest_decomposition, is_degenerate
+from .embed import DEFAULT_COPY_LIMIT
 from .errors import EnumerationTruncated, RamseykitError
 from .graphs import Graph, parse_edge_list, parse_graph6, write_graph6
 from .report import envelope, to_json, to_text
@@ -46,7 +47,7 @@ def _build_parser() -> _Parser:
 
     def add(name, help_, *, graph=False, pattern=False, forest=False,
             family=False, r=False, eps=False, n=False, trials=None,
-            seed=False, budget=False, jobs=False, extra=None):
+            seed=False, budget=None, jobs=False, extra=None):
         sp = sub.add_parser(name, help=help_)
         if graph:
             sp.add_argument("--graph", required=True, help="graph6 string or @file")
@@ -67,8 +68,8 @@ def _build_parser() -> _Parser:
             sp.add_argument("--trials", type=int, default=trials)
         if seed:
             sp.add_argument("--seed", type=int, default=0)
-        if budget:
-            sp.add_argument("--budget", type=int, default=None)
+        if budget is not None:
+            sp.add_argument("--budget", type=int, default=budget)
         if jobs:
             sp.add_argument("--jobs", type=int, default=1)
         if extra:
@@ -81,123 +82,87 @@ def _build_parser() -> _Parser:
     add("degenerate", "does every block of --graph embed into --pattern",
         graph=True, pattern=True)
     add("forest", "minimum forest decomposition of --graph over --pattern",
-        graph=True, pattern=True, budget=True)
+        graph=True, pattern=True, budget=DEFAULT_NODE_BUDGET)
     add("color", "embedding-or-coloring certificate for --forest in --graph",
-        graph=True, pattern=True, forest=True, budget=True)
+        graph=True, pattern=True, forest=True, budget=DEFAULT_COPY_LIMIT)
     add("ramsey", "exact vertex Ramsey decision", graph=True, pattern=True,
-        r=True, budget=True)
+        r=True, budget=ramsey.DEFAULT_SEARCH_BUDGET)
     add("dense", "subset density of --graph with respect to --pattern",
         graph=True, pattern=True, eps=True, trials=1000, seed=True,
         extra=lambda sp: sp.add_argument("--mode", choices=("exact", "sampled"),
                                          default="exact"))
     add("construct", "sample a dense graph avoiding every --family member",
         pattern=True, family=True, eps=True, n=True, trials=1000, seed=True,
-        budget=True,
+        budget=DEFAULT_COPY_LIMIT,
         extra=lambda sp: sp.add_argument("--deletion-multiplier", type=float,
                                          default=1.0))
     add("covers", "exhaustive trace-cover inequality report",
         graph=True, pattern=True)
     add("count", "copy-count distribution of --graph cores over sampled hosts",
         graph=True, pattern=True, eps=True, n=True, trials=100, seed=True,
-        budget=True, jobs=True)
+        budget=DEFAULT_COPY_LIMIT, jobs=True)
     add("estimate-density", "hit fraction of uniform -n subsets",
         graph=True, pattern=True, n=True, trials=1000, seed=True, jobs=True)
     return p
 
 
-def _block_doc(args) -> tuple[dict, str]:
-    g = _load_graph(args.graph)
-    dec = block_decomposition(g)
+def _part(part) -> dict:
+    return {"vertices": list(part.vertices), "edges": [list(e) for e in part.edges]}
+
+
+def _blocks(args, graph) -> tuple[dict, str]:
+    dec = block_decomposition(graph)
     result = {
-        "blocks": [
-            {"vertices": list(b.vertices), "edges": [list(e) for e in b.edges]}
-            for b in dec.blocks
-        ],
+        "blocks": [_part(b) for b in dec.blocks],
         "cut_vertices": sorted(dec.cut_vertices),
         "tree": sorted([i, v] for i, v in dec.tree_edges),
         "isolated_vertices": sorted(dec.isolated_vertices),
     }
-    return envelope("blocks", {"graph": write_graph6(g)}, result), "ok"
+    return result, "ok"
 
 
-def _degenerate_doc(args) -> tuple[dict, str]:
-    g, pat = _load_graph(args.graph), _load_graph(args.pattern)
-    check = is_degenerate(g, pat)
+def _degenerate(args, graph, pattern) -> tuple[dict, str]:
+    check = is_degenerate(graph, pattern)
     result = {"degenerate": check.degenerate}
     if check.offending_block is not None:
-        result["offending_block"] = {
-            "vertices": list(check.offending_block.vertices),
-            "edges": [list(e) for e in check.offending_block.edges],
-        }
-    inputs = {"graph": write_graph6(g), "pattern": write_graph6(pat)}
-    return envelope("degenerate", inputs, result), "ok"
+        result["offending_block"] = _part(check.offending_block)
+    return result, "ok"
 
 
-def _forest_doc(args) -> tuple[dict, str]:
-    g, pat = _load_graph(args.graph), _load_graph(args.pattern)
-    kwargs = {}
-    if args.budget is not None:
-        kwargs["node_budget"] = args.budget
-    dec = forest_decomposition(g, pat, **kwargs)
+def _forest(args, graph, pattern) -> tuple[dict, str]:
+    dec = forest_decomposition(graph, pattern, node_budget=args.budget)
     if dec is None:
-        result = {"decomposition": None}
-    else:
-        result = {
-            "decomposition": {
-                "size": dec.size,
-                "minimal": dec.minimal,
-                "pieces": [
-                    {"vertices": list(p.vertices), "edges": [list(e) for e in p.edges]}
-                    for p in dec.pieces
-                ],
-                "attachments": list(dec.attachments),
-            }
+        return {"decomposition": None}, "ok"
+    result = {
+        "decomposition": {
+            "size": dec.size,
+            "minimal": dec.minimal,
+            "pieces": [_part(p) for p in dec.pieces],
+            "attachments": list(dec.attachments),
         }
-    inputs = {"graph": write_graph6(g), "pattern": write_graph6(pat)}
-    return envelope("forest", inputs, result), "ok"
-
-
-def _color_doc(args) -> tuple[dict, str]:
-    g = _load_graph(args.graph)
-    pat = _load_graph(args.pattern)
-    forest = _load_graph(args.forest)
-    kwargs = {}
-    if args.budget is not None:
-        kwargs["copy_limit"] = args.budget
-    cert = certify.embed_or_color(g, pat, forest, **kwargs)
-    inputs = {
-        "graph": write_graph6(g),
-        "pattern": write_graph6(pat),
-        "forest": write_graph6(forest),
     }
-    status = "unknown" if cert.branch == certify.UNKNOWN else "ok"
-    return envelope("color", inputs, cert.to_json_dict(), status), status
+    return result, "ok"
 
 
-def _ramsey_doc(args) -> tuple[dict, str]:
-    g, pat = _load_graph(args.graph), _load_graph(args.pattern)
-    kwargs = {}
-    if args.budget is not None:
-        kwargs["node_budget"] = args.budget
-    inputs = {"graph": write_graph6(g), "pattern": write_graph6(pat), "r": args.r}
-    try:
-        dec = ramsey.is_ramsey(g, pat, args.r, **kwargs)
-    except EnumerationTruncated as exc:
-        return envelope("ramsey", inputs, {"truncated": str(exc)}, "unknown"), "unknown"
+def _color(args, graph, pattern, forest) -> tuple[dict, str]:
+    cert = certify.embed_or_color(graph, pattern, forest, copy_limit=args.budget)
+    return cert.to_json_dict(), "unknown" if cert.branch == certify.UNKNOWN else "ok"
+
+
+def _ramsey(args, graph, pattern) -> tuple[dict, str]:
+    dec = ramsey.is_ramsey(graph, pattern, args.r, node_budget=args.budget)
     result = {
         "ramsey": dec.ramsey,
         "r": args.r,
         "nodes": dec.nodes,
         "witness_coloring": list(dec.witness.colors) if dec.witness else None,
     }
-    status = "unknown" if dec.status == ramsey.UNKNOWN else "ok"
-    return envelope("ramsey", inputs, result, status), status
+    return result, "unknown" if dec.status == ramsey.UNKNOWN else "ok"
 
 
-def _dense_doc(args) -> tuple[dict, str]:
-    g, pat = _load_graph(args.graph), _load_graph(args.pattern)
+def _dense(args, graph, pattern) -> tuple[dict, str]:
     res = ramsey.is_eps_dense(
-        g, pat, args.eps, mode=args.mode, trials=args.trials, seed=args.seed
+        graph, pattern, args.eps, mode=args.mode, trials=args.trials, seed=args.seed
     )
     result = {
         "mode": res.mode,
@@ -208,81 +173,38 @@ def _dense_doc(args) -> tuple[dict, str]:
         "subset_size": res.subset_size,
         "witness_subset": list(res.witness_subset) if res.witness_subset else None,
     }
-    inputs = {
-        "graph": write_graph6(g),
-        "pattern": write_graph6(pat),
-        "eps": args.eps,
-        "mode": args.mode,
-        "seed": args.seed,
-    }
-    return envelope("dense", inputs, result), "ok"
+    return result, "ok"
 
 
-def _construct_doc(args) -> tuple[dict, str]:
-    pat = _load_graph(args.pattern)
-    family = [_load_graph(s) for s in args.family]
-    kwargs = {}
-    if args.budget is not None:
-        kwargs["copy_limit"] = args.budget
-    inputs = {
-        "pattern": write_graph6(pat),
-        "family": [write_graph6(f) for f in family],
-        "n": args.n,
-        "eps": args.eps,
-        "seed": args.seed,
-    }
-    try:
-        final, rep = construction.construct_family_free(
-            args.n,
-            pat,
-            family,
-            args.eps,
-            seed=args.seed,
-            deletion_multiplier=args.deletion_multiplier,
-            density_trials=args.trials,
-            **kwargs,
-        )
-    except EnumerationTruncated as exc:
-        doc = envelope("construct", inputs, {"truncated": str(exc)}, "unknown")
-        return doc, "unknown"
-    result = {"graph6": write_graph6(final), "report": rep.to_json_dict()}
-    return envelope("construct", inputs, result), "ok"
+def _construct(args, pattern, family) -> tuple[dict, str]:
+    final, rep = construction.construct_family_free(
+        args.n,
+        pattern,
+        family,
+        args.eps,
+        seed=args.seed,
+        deletion_multiplier=args.deletion_multiplier,
+        density_trials=args.trials,
+        copy_limit=args.budget,
+    )
+    return {"graph6": write_graph6(final), "report": rep.to_json_dict()}, "ok"
 
 
-def _covers_doc(args) -> tuple[dict, str]:
-    core, pat = _load_graph(args.graph), _load_graph(args.pattern)
-    rep = construction.verify_cover_inequality(core, pat)
-    inputs = {"graph": write_graph6(core), "pattern": write_graph6(pat)}
-    return envelope("covers", inputs, rep.to_json_dict()), "ok"
+def _covers(args, graph, pattern) -> tuple[dict, str]:
+    return construction.verify_cover_inequality(graph, pattern).to_json_dict(), "ok"
 
 
-def _count_doc(args) -> tuple[dict, str]:
-    core, pat = _load_graph(args.graph), _load_graph(args.pattern)
-    kwargs = {}
-    if args.budget is not None:
-        kwargs["copy_limit"] = args.budget
-    inputs = {
-        "graph": write_graph6(core),
-        "pattern": write_graph6(pat),
-        "n": args.n,
-        "eps": args.eps,
-        "seed": args.seed,
-        "trials": args.trials,
-    }
-    try:
-        stats = construction.estimate_copy_count(
-            core, pat, args.n, args.eps, trials=args.trials, seed=args.seed,
-            jobs=args.jobs, **kwargs,
-        )
-    except EnumerationTruncated as exc:
-        return envelope("count", inputs, {"truncated": str(exc)}, "unknown"), "unknown"
-    return envelope("count", inputs, stats.to_json_dict()), "ok"
+def _count(args, graph, pattern) -> tuple[dict, str]:
+    stats = construction.estimate_copy_count(
+        graph, pattern, args.n, args.eps, trials=args.trials, seed=args.seed,
+        jobs=args.jobs, copy_limit=args.budget,
+    )
+    return stats.to_json_dict(), "ok"
 
 
-def _estimate_density_doc(args) -> tuple[dict, str]:
-    g, pat = _load_graph(args.graph), _load_graph(args.pattern)
+def _estimate_density(args, graph, pattern) -> tuple[dict, str]:
     est = construction.estimate_density(
-        g, pat, args.n, trials=args.trials, seed=args.seed, jobs=args.jobs
+        graph, pattern, args.n, trials=args.trials, seed=args.seed, jobs=args.jobs
     )
     result = {
         "fraction": est.fraction,
@@ -290,27 +212,22 @@ def _estimate_density_doc(args) -> tuple[dict, str]:
         "trials": est.trials,
         "subset_size": est.subset_size,
     }
-    inputs = {
-        "graph": write_graph6(g),
-        "pattern": write_graph6(pat),
-        "n": args.n,
-        "seed": args.seed,
-        "trials": args.trials,
-    }
-    return envelope("estimate-density", inputs, result), "ok"
+    return result, "ok"
 
 
-_HANDLERS = {
-    "blocks": _block_doc,
-    "degenerate": _degenerate_doc,
-    "forest": _forest_doc,
-    "color": _color_doc,
-    "ramsey": _ramsey_doc,
-    "dense": _dense_doc,
-    "construct": _construct_doc,
-    "covers": _covers_doc,
-    "count": _count_doc,
-    "estimate-density": _estimate_density_doc,
+# command -> (handler, arguments its document echoes in "inputs" beside
+# the graph6 of its graphs)
+_COMMANDS = {
+    "blocks": (_blocks, ()),
+    "degenerate": (_degenerate, ()),
+    "forest": (_forest, ()),
+    "color": (_color, ()),
+    "ramsey": (_ramsey, ("r",)),
+    "dense": (_dense, ("eps", "mode", "seed")),
+    "construct": (_construct, ("n", "eps", "seed")),
+    "covers": (_covers, ()),
+    "count": (_count, ("n", "eps", "seed", "trials")),
+    "estimate-density": (_estimate_density, ("n", "seed", "trials")),
 }
 
 
@@ -321,11 +238,28 @@ def run(argv: list[str]) -> tuple[int, str]:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # our error() raises 1; --help exits 0
         return (exc.code if isinstance(exc.code, int) else 1), ""
+    handler, echoed = _COMMANDS[args.command]
     try:
-        doc, status = _HANDLERS[args.command](args)
+        graphs = {}
+        for name in ("graph", "pattern", "forest", "family"):
+            spec = getattr(args, name, None)
+            if isinstance(spec, list):
+                graphs[name] = [_load_graph(s) for s in spec]
+            elif spec is not None:
+                graphs[name] = _load_graph(spec)
+        inputs = {
+            name: [write_graph6(f) for f in g] if isinstance(g, list) else write_graph6(g)
+            for name, g in graphs.items()
+        }
+        inputs.update((name, getattr(args, name)) for name in echoed)
+        try:
+            result, status = handler(args, **graphs)
+        except EnumerationTruncated as exc:
+            result, status = {"truncated": str(exc)}, "unknown"
     except (RamseykitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, ""
+    doc = envelope(args.command, inputs, result, status)
     text = to_json(doc) if args.format == "json" else to_text(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

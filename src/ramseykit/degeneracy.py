@@ -77,16 +77,6 @@ def extract_core(graph: Graph, pattern: Graph) -> Graph:
 # --- minimum decomposition search ------------------------------------------
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self) -> bool:
-        self.used += 1
-        return self.used <= self.limit
-
-
 def _atoms(graph: Graph) -> list[tuple[frozenset[int], frozenset[Edge]]]:
     dec = block_decomposition(graph)
     atoms = [(frozenset(b.vertices), frozenset(b.edges)) for b in dec.blocks]
@@ -133,27 +123,28 @@ def _order_groups(group_vsets: list[frozenset[int]]) -> list[int] | None:
     used = [False] * k
     order: list[int] = []
     covered: set[int] = set()
-
-    def rec() -> bool:
-        if len(order) == k:
-            return True
-        for i in by_key:
-            if used[i]:
-                continue
-            if len(group_vsets[i] & covered) > 1:
-                continue
-            used[i] = True
-            order.append(i)
-            added = group_vsets[i] - covered
-            covered.update(added)
-            if rec():
-                return True
-            covered.difference_update(added)
-            order.pop()
-            used[i] = False
-        return False
-
-    return order if rec() else None
+    placed: list[tuple[int, frozenset[int]]] = []  # (position in by_key, vertices added)
+    resume = 0
+    while len(order) < k:
+        for pos in range(resume, k):
+            i = by_key[pos]
+            if not used[i] and len(group_vsets[i] & covered) <= 1:
+                break
+        else:
+            if not order:
+                return None
+            used[order.pop()] = False
+            pos, added = placed.pop()
+            covered -= added
+            resume = pos + 1
+            continue
+        used[i] = True
+        order.append(i)
+        added = group_vsets[i] - covered
+        covered.update(added)
+        placed.append((pos, added))
+        resume = 0
+    return order
 
 
 def forest_decomposition(
@@ -194,13 +185,11 @@ def forest_decomposition(
         if not group_embeds(frozenset({i})):
             return None
 
-    budget = _Budget(node_budget)
-    groups: list[set[int]] = []
+    nodes = 0
     best: list[list[frozenset[int]]] = []
     best_size = n_atoms + 1
-    exhausted = False
 
-    def vsets() -> list[frozenset[int]]:
+    def vsets(groups) -> list[frozenset[int]]:
         out = []
         for grp in groups:
             vs: set[int] = set()
@@ -209,69 +198,66 @@ def forest_decomposition(
             out.append(frozenset(vs))
         return out
 
-    def assign(i: int, collect_at: int | None):
-        # collect_at None: minimize; otherwise record all partitions of
-        # exactly that many groups
-        nonlocal best_size, exhausted
+    def search(collect_at: int | None) -> bool:
+        # Atoms go into groups in id order, depth first on an explicit
+        # stack, one node per placement tried; False when the budget runs
+        # out.  collect_at None: minimize; otherwise record all partitions
+        # of exactly that many groups.
+        nonlocal nodes, best_size
+        groups: list[set[int]] = []
+        # frames[i] = [group holding atom i, bound on the groups it may try,
+        # fixed when the frame was pushed]
+        frames: list[list[int]] = []
         target = collect_at if collect_at is not None else best_size - 1
-        if len(groups) > target:
-            return
-        if i == n_atoms:
-            if collect_at is not None and len(groups) != collect_at:
-                return
-            snapshot = [frozenset(grp) for grp in groups]
-            if collect_at is None:
-                best_size = len(groups)
-                best.clear()
-            best.append(snapshot)
-            return
-        upper = min(len(groups) + 1, target)
-        for gi in range(upper):
-            if not budget.spend():
-                exhausted = True
-                return
-            new_group = gi == len(groups)
-            if new_group:
-                groups.append({i})
-            else:
-                groups[gi].add(i)
-            ok = group_embeds(frozenset(groups[gi])) and _incidence_is_forest(vsets())
-            if ok:
-                assign(i + 1, collect_at)
-            if new_group:
-                groups.pop()
-            else:
+        ok = True
+        while True:
+            if ok and len(groups) <= target:
+                if len(frames) < n_atoms:
+                    frames.append([-1, min(len(groups) + 1, target)])
+                elif collect_at is None or len(groups) == collect_at:
+                    if collect_at is None:
+                        best_size = len(groups)
+                        target = best_size - 1
+                        best.clear()
+                    best.append([frozenset(grp) for grp in groups])
+            if not frames:
+                return True
+            i = len(frames) - 1
+            frame = frames[i]
+            gi = frame[0]
+            if gi >= 0:
                 groups[gi].remove(i)
-            if exhausted:
-                return
+                if not groups[gi]:
+                    groups.pop()
+            gi += 1
+            ok = gi < frame[1]
+            if not ok:
+                frames.pop()
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                return False
+            frame[0] = gi
+            if gi == len(groups):
+                groups.append(set())
+            groups[gi].add(i)
+            ok = group_embeds(frozenset(groups[gi])) and _incidence_is_forest(vsets(groups))
 
-    assign(0, None)
-    minimal = not exhausted
+    minimal = search(None)
+    if minimal:
+        # re-enumerate every partition at the proven minimum for the
+        # deterministic lexicographic tie-break
+        best.clear()
+        search(best_size)
     if not best:
         # budget died before any full partition: fall back to one atom per piece
         best.append([frozenset({i}) for i in range(n_atoms)])
-        best_size = n_atoms
-        minimal = best_size == 1
-    elif minimal:
-        # re-enumerate every partition at the proven minimum for the
-        # deterministic lexicographic tie-break
-        found_min = best_size
-        best.clear()
-        best_size = found_min + 1  # disable the improvement pruning
-        assign(0, found_min)
-        best_size = found_min
-        if exhausted and not best:
-            return forest_decomposition(graph, pattern, node_budget=0)
+        minimal = n_atoms == 1
 
     chosen = None
     chosen_key = None
     for partition in best:
-        group_vsets = []
-        for grp in partition:
-            vs: set[int] = set()
-            for i in grp:
-                vs |= atoms[i][0]
-            group_vsets.append(frozenset(vs))
+        group_vsets = vsets(partition)
         order = _order_groups(group_vsets)
         if order is None:
             continue

@@ -22,10 +22,6 @@ class EnumerationTruncated(RamseykitError):
     """A copy enumeration hit its budget before the answer was decided."""
 
 
-class SearchBudgetExceeded(RamseykitError):
-    """An exact search ran out of its node budget."""
-
-
 class IsDegenerate(RamseykitError):
     """Core extraction was asked for a graph whose blocks all fit the pattern."""
 

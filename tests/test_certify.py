@@ -18,7 +18,7 @@ from ramseykit.certify import (
     star_family_at_least,
     verify_coloring,
 )
-from ramseykit.embed import contains_copy, enumerate_copies
+from ramseykit.embed import contains_copy, enumerate_copies, enumerate_copies_with_witness
 from ramseykit.errors import EnumerationTruncated, NotDegenerate, ParamOutOfRange
 from ramseykit.graphs import (
     Graph,
@@ -69,6 +69,48 @@ class TestStarFamily:
     def test_truncation_raises(self):
         with pytest.raises(EnumerationTruncated):
             star_family_at_least(complete_graph(8), complete_graph(3), 0, 0, 2, limit=3)
+
+    def test_large_star_needs_no_recursion(self):
+        star = Graph.from_edges(1501, [(0, leaf) for leaf in range(1, 1501)])
+        ok, fam = star_family_at_least(star, complete_graph(2), 0, 0, 1500)
+        assert ok and fam.size() == 1500
+
+    def test_packing_matches_recursive_form(self):
+        patterns = [complete_graph(2), complete_graph(3), path_graph(3), cycle_graph(4)]
+        for n in (6, 8):
+            for g in random_graphs(n, 12, seed=n * 13):
+                for pattern in patterns:
+                    for role in range(pattern.n):
+                        for v in range(n):
+                            pairs, _ = enumerate_copies_with_witness(pattern, g, pin=(role, v))
+                            masks = [sum(1 << w for w in c.vertices if w != v) for c, _ in pairs]
+                            for t in range(1, 5):
+                                chosen = _recursive_pack(masks, t)
+                                ok, fam = star_family_at_least(g, pattern, role, v, t)
+                                assert ok == (chosen is not None)
+                                if ok:
+                                    assert fam.copies == [pairs[j][0] for j in chosen]
+
+
+def _recursive_pack(masks: list[int], t: int) -> list[int] | None:
+    """The recursive packing star_family_at_least used before its stack form."""
+    chosen: list[int] = []
+
+    def pack(idx: int, used: int) -> bool:
+        if len(chosen) == t:
+            return True
+        if len(chosen) + (len(masks) - idx) < t:
+            return False
+        for j in range(idx, len(masks)):
+            if masks[j] & used:
+                continue
+            chosen.append(j)
+            if pack(j + 1, used | masks[j]):
+                return True
+            chosen.pop()
+        return False
+
+    return chosen if pack(0, 0) else None
 
 
 class TestGreedyDisjointFamily:

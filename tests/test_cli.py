@@ -128,6 +128,18 @@ class TestDispatch:
         assert doc["status"] == "unknown"
         assert doc["result"] == {"truncated": "core copy enumeration truncated"}
 
+    def test_forest_budget_zero_on_a_long_path(self, tmp_path):
+        # an edge-list file, since decoding a 1500-vertex graph6 line is slow
+        path = tmp_path / "p1500.edges"
+        path.write_text("".join(f"{v} {v + 1}\n" for v in range(1499)))
+        code, doc = run_json(
+            ["forest", "--graph", f"@{path}", "--pattern", write_graph6(complete_graph(2)),
+             "--budget", "0"]
+        )
+        assert code == 0
+        assert doc["result"]["decomposition"]["size"] == 1499
+        assert doc["result"]["decomposition"]["minimal"] is False
+
     def test_estimate_density(self):
         code, doc = run_json(
             ["estimate-density", "--graph", write_graph6(complete_graph(12)),

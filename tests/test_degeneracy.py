@@ -1,6 +1,14 @@
+import random
+import sys
+
 import pytest
 
-from ramseykit.degeneracy import extract_core, forest_decomposition, is_degenerate
+from ramseykit.degeneracy import (
+    _order_groups,
+    extract_core,
+    forest_decomposition,
+    is_degenerate,
+)
 from ramseykit.embed import find_embedding
 from ramseykit.errors import IsDegenerate
 from ramseykit.graphs import (
@@ -176,6 +184,26 @@ class TestForestDecomposition:
         assert not dec.minimal
         check_decomposition(g, path_graph(3), dec)
 
+    def test_long_path_at_budget_zero_needs_no_recursion(self):
+        g = path_graph(1500)
+        dec = forest_decomposition(g, complete_graph(2), node_budget=0)
+        assert dec.size == 1499 and not dec.minimal
+        check_decomposition(g, complete_graph(2), dec)
+
+    def test_deep_search_needs_no_recursion(self):
+        # the search descends once per atom (399 here); with the limit a
+        # little above the current depth, any recursion per atom would fail
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            dec = forest_decomposition(path_graph(400), path_graph(400))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert dec.size == 1 and dec.minimal
+
     def test_deterministic_tie_break(self):
         g = path_graph(5)
         a = forest_decomposition(g, path_graph(3))
@@ -183,6 +211,52 @@ class TestForestDecomposition:
         assert [p.vertices for p in a.pieces] == [p.vertices for p in b.pieces]
         # lexicographically smallest piece sequence starts at vertex 0
         assert a.pieces[0].vertices[0] == 0
+
+
+def _recursive_order_groups(group_vsets: list[frozenset[int]]) -> list[int] | None:
+    """The recursive _order_groups, as it was before its stack form."""
+    k = len(group_vsets)
+    keys = [tuple(sorted(vs)) for vs in group_vsets]
+    by_key = sorted(range(k), key=lambda i: keys[i])
+    used = [False] * k
+    order: list[int] = []
+    covered: set[int] = set()
+
+    def rec() -> bool:
+        if len(order) == k:
+            return True
+        for i in by_key:
+            if used[i]:
+                continue
+            if len(group_vsets[i] & covered) > 1:
+                continue
+            used[i] = True
+            order.append(i)
+            added = group_vsets[i] - covered
+            covered.update(added)
+            if rec():
+                return True
+            covered.difference_update(added)
+            order.pop()
+            used[i] = False
+        return False
+
+    return order if rec() else None
+
+
+def test_order_groups_matches_recursive_form():
+    rng = random.Random(3)
+    orderable = 0
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        groups = [
+            frozenset(rng.sample(range(n), rng.randint(1, min(n, 4))))
+            for _ in range(rng.randint(0, 6))
+        ]
+        expected = _recursive_order_groups(groups)
+        assert _order_groups(groups) == expected
+        orderable += expected is not None
+    assert 300 < orderable < 2700
 
 
 class TestExtractCore:
