@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import certify, construction, ramsey
 from .blocks import block_decomposition
@@ -27,8 +28,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_graph(spec: str) -> Graph:
-    """Inline graph6, or @path to a graph6 / edge-list file (sniffed)."""
-    if spec.startswith("@"):
+    """Inline graph6, or @path to a graph6 / edge-list file (sniffed); a
+    lone "@" is the graph6 of the one-vertex graph."""
+    if spec.startswith("@") and len(spec) > 1:
         with open(spec[1:], "r", encoding="ascii") as fh:
             text = fh.read()
         stripped = text.lstrip()
@@ -41,7 +43,9 @@ def _load_graph(spec: str) -> Graph:
     return parse_graph6(spec)
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     p = _Parser(prog="ramseykit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

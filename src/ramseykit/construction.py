@@ -24,9 +24,9 @@ from .embed import (
     DEFAULT_COPY_LIMIT,
     _iter_bits,
     automorphism_count,
+    contains_copy,
     count_copies,
     enumerate_copies,
-    find_embedding,
 )
 from .errors import EnumerationTruncated, NotApplicable, ParamOutOfRange, TooLarge
 from .graphs import (
@@ -226,7 +226,7 @@ def _candidate_traces(core: Graph, pattern: Graph) -> tuple[list[int], list[Trac
         sub_edges = [edges[i] for i in range(k) if (mask >> i) & 1]
         verts = sorted({w for e in sub_edges for w in e})
         sub, _ = subgraph_from_sets(verts, sub_edges)
-        if find_embedding(sub, pattern) is not None:
+        if contains_copy(sub, pattern):
             masks.append(mask)
             traces.append(Trace(tuple(verts), tuple(sub_edges)))
     return masks, traces
@@ -440,7 +440,7 @@ def construct_family_free(
     final, _ = induced_subgraph(g0, survivors)
 
     budget = deletion_multiplier * math.sqrt(n)
-    free = [not find_embedding(member, final) for member in family]
+    free = [not contains_copy(member, final) for member in family]
     subset = min(params.subset_size, final.n)
     density = estimate_density(
         final, pattern, subset, trials=density_trials, seed=(seed ^ 0xD1CE) & _SEED_MASK
@@ -501,7 +501,7 @@ def _density_trial(args) -> int:
     inside = np.zeros(g.n, dtype=np.uint8)
     inside[rng.choice(g.n, size=subset_size, replace=False)] = 1
     mask = int.from_bytes(np.packbits(inside, bitorder="little").tobytes(), "little")
-    return 1 if find_embedding(pattern, g, within=mask) is not None else 0
+    return 1 if contains_copy(pattern, g, within=mask) else 0
 
 
 def _copy_count_trial(args) -> int:

@@ -138,13 +138,16 @@ def _assignments(plan: tuple, host: Graph, within: int, prefix: tuple = (), smal
     assignment list, overwritten as the search goes on.
 
     An explicit stack: position i keeps its untried candidates and the host
-    vertices taken before it.  Degrees count neighbours inside the mask, so
-    the filter matches the induced subgraph's.
+    vertices taken before it.  A candidate's degree counts its neighbours
+    inside the mask, so the filter matches the induced subgraph's; it is
+    taken only for the candidates tried.
     """
     order, placed_nbrs, pdeg = plan
     pn = len(order)
+    if not pn:
+        yield []
+        return
     hbits = host.adj_bits
-    hdeg = [(b & within).bit_count() for b in hbits]
     start = [within] * pn
     for i, hv in enumerate(prefix):
         start[i] &= 1 << hv
@@ -165,7 +168,7 @@ def _assignments(plan: tuple, host: Graph, within: int, prefix: tuple = (), smal
         low = mask & -mask
         untried[i] = mask ^ low
         hv = low.bit_length() - 1
-        if hdeg[hv] < pdeg[i]:
+        if (hbits[hv] & within).bit_count() < pdeg[i]:
             continue
         assignment[i] = hv
         if i == last:
@@ -180,6 +183,22 @@ def _assignments(plan: tuple, host: Graph, within: int, prefix: tuple = (), smal
         for j in smaller[i]:
             mask &= -2 << assignment[j]
         untried[i] = mask
+
+
+def _checked_mask(pattern: Graph, host: Graph, pin, within: int | None) -> int:
+    """The argument checks of every search entry point; returns the host
+    vertex mask to search, all of the host when within is None."""
+    hn = host.n
+    if within is None:
+        within = (1 << hn) - 1
+    elif within >> hn:  # also catches negative masks
+        raise InvalidVertex(f"vertex mask reaches outside 0..{hn - 1}")
+    if pin is not None:
+        if not 0 <= pin[0] < pattern.n:
+            raise InvalidVertex(f"pin role {pin[0]} outside pattern")
+        if not 0 <= pin[1] < hn:
+            raise InvalidVertex(f"pin vertex {pin[1]} outside host")
+    return within
 
 
 def enumerate_embeddings(
@@ -198,20 +217,9 @@ def enumerate_embeddings(
     one_per_copy, only the first embedding of each copy is yielded: the
     same stream with repeats of an earlier image removed.
     """
-    pn, hn = pattern.n, host.n
-    if within is None:
-        within = (1 << hn) - 1
-    elif within >> hn:  # also catches negative masks
-        raise InvalidVertex(f"vertex mask reaches outside 0..{hn - 1}")
-    if pin is not None:
-        if not 0 <= pin[0] < pn:
-            raise InvalidVertex(f"pin role {pin[0]} outside pattern")
-        if not 0 <= pin[1] < hn:
-            raise InvalidVertex(f"pin vertex {pin[1]} outside host")
+    pn = pattern.n
+    within = _checked_mask(pattern, host, pin, within)
     if pn > within.bit_count():
-        return
-    if pn == 0:
-        yield Embedding(0, (), frozenset(), frozenset())
         return
     first = None if pin is None else pin[0]
     plan = _search_plan(pattern, first)
@@ -235,9 +243,17 @@ def find_embedding(
     return next(enumerate_embeddings(pattern, host, pin, within), None)
 
 
-def contains_copy(pattern: Graph, host: Graph) -> bool:
-    """True iff host has at least one copy of pattern as a subgraph."""
-    return find_embedding(pattern, host) is not None
+def contains_copy(pattern: Graph, host: Graph, within: int | None = None) -> bool:
+    """True iff host has at least one copy of pattern as a subgraph.
+
+    within, a bitmask of host vertices, restricts the search to the
+    subgraph they induce, as in enumerate_embeddings.  The answer is
+    find_embedding(...) is not None, found without building an Embedding.
+    """
+    within = _checked_mask(pattern, host, None, within)
+    if pattern.n > within.bit_count():
+        return False
+    return next(_assignments(_search_plan(pattern, None), host, within), None) is not None
 
 
 def _distinct_copies(pattern, host, pin, limit, within) -> tuple[list[Embedding], bool]:

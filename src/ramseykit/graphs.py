@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 
 from .errors import InvalidVertex, MalformedInput
 
@@ -170,21 +171,18 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(payload) > nchars:
         raise MalformedInput("trailing characters after graph6 payload")
-    bits = 0
-    for ch in payload:
-        o = ord(ch)
-        if not 63 <= o <= 126:
-            raise MalformedInput(f"bad graph6 byte {o}")
-        bits = (bits << 6) | (o - 63)
-    bits >>= 6 * nchars - nbits  # drop padding
-    edges = set()
-    # column order: (0,1), (0,2), (1,2), (0,3), ...
-    idx = nbits - 1
-    for col in range(1, n):
-        for row in range(col):
-            if (bits >> idx) & 1:
-                edges.add((row, col))
-            idx -= 1
+    if payload and not ("?" <= min(payload) and max(payload) <= "~"):
+        bad = next(o for o in map(ord, payload) if not 63 <= o <= 126)
+        raise MalformedInput(f"bad graph6 byte {bad}")
+    # bit i of the column-order string (0,1), (0,2), (1,2), (0,3), ... is
+    # the pair (i - col(col-1)/2, col) with col = (1 + isqrt(1 + 8i)) // 2
+    bits = "".join([format(ord(ch) - 63, "06b") for ch in payload])
+    edges = []
+    i = bits.find("1", 0, nbits)
+    while i >= 0:
+        col = (1 + isqrt(1 + 8 * i)) // 2
+        edges.append((i - col * (col - 1) // 2, col))
+        i = bits.find("1", i + 1, nbits)
     return Graph(n, frozenset(edges))
 
 
@@ -199,20 +197,13 @@ def write_graph6(g: Graph) -> str:
         head = "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
     else:
         raise MalformedInput("vertex count too large for graph6")
-    nbits = n * (n - 1) // 2
-    bits = 0
-    idx = nbits - 1
-    for col in range(1, n):
-        for row in range(col):
-            if g.has_edge(row, col):
-                bits |= 1 << idx
-            idx -= 1
-    nchars = (nbits + 5) // 6
-    bits <<= 6 * nchars - nbits
-    payload = "".join(
-        chr(((bits >> (6 * (nchars - 1 - i))) & 63) + 63) for i in range(nchars)
-    )
-    return head + payload
+    # column col holds rows 0..col-1, lowest row first
+    adj_bits = g.adj_bits
+    bits = "".join([
+        format(adj_bits[col] & ((1 << col) - 1), f"0{col}b")[::-1] for col in range(1, n)
+    ])
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join([chr(int(bits[i:i + 6], 2) + 63) for i in range(0, len(bits), 6)])
 
 
 # --- edge list ------------------------------------------------------------

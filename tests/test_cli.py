@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import ramseykit
 
 from ramseykit import ramsey
-from ramseykit.cli import run
+from ramseykit.cli import _build_parser, run
 from ramseykit.errors import EnumerationTruncated
 from ramseykit.graphs import complete_graph, cycle_graph, write_graph6
 
@@ -129,7 +135,6 @@ class TestDispatch:
         assert doc["result"] == {"truncated": "core copy enumeration truncated"}
 
     def test_forest_budget_zero_on_a_long_path(self, tmp_path):
-        # an edge-list file, since decoding a 1500-vertex graph6 line is slow
         path = tmp_path / "p1500.edges"
         path.write_text("".join(f"{v} {v + 1}\n" for v in range(1499)))
         code, doc = run_json(
@@ -179,6 +184,13 @@ class TestInputHandling:
         code, _ = run(["frobnicate"])
         assert code == 1
 
+    def test_one_vertex_graph_inline(self):
+        # the graph6 of the one-vertex graph is "@" itself, not an empty path
+        code, doc = run_json(["blocks", "--graph", "@"])
+        assert code == 0
+        assert doc["inputs"]["graph"] == "@"
+        assert doc["result"]["isolated_vertices"] == [0]
+
     def test_file_loading_graph6(self, tmp_path):
         path = tmp_path / "g.g6"
         path.write_text(BOWTIE_G6 + "\n")
@@ -211,3 +223,27 @@ class TestInputHandling:
     def test_schema_marker(self):
         _, doc = run_json(["blocks", "--graph", K3_G6])
         assert doc["schema"] == "ramseykit.report/1"
+
+
+def fresh_run(argv):
+    """argv through python -m ramseykit in a new process."""
+    src = str(Path(ramseykit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "ramseykit", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    return done.returncode, done.stdout
+
+
+def test_one_parser_serves_many_runs():
+    construct = ["construct", "--pattern", K3_G6, "--family", K4_G6, "-n", "60",
+                 "--eps", "0.3", "--seed", "3", "--trials", "40"]
+    covers = ["covers", "--graph", BOWTIE_G6, "--pattern", K3_G6]
+    usage = ["ramsey", "--graph", K4_G6]
+    argvs = [construct, covers, usage, construct]
+    in_process = [run(argv) for argv in argvs]
+    assert _build_parser() is _build_parser()
+    assert [code for code, _ in in_process] == [0, 0, 1, 0]
+    assert in_process == [fresh_run(argv) for argv in argvs]

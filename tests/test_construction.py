@@ -7,6 +7,7 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ramseykit
@@ -344,6 +345,24 @@ class TestEstimators:
         again = estimate_density(g, K3, 20, trials=60, seed=13, jobs=1)
         parallel = estimate_density(g, K3, 20, trials=60, seed=13, jobs=2)
         assert serial == again == parallel
+
+    def test_density_hits_match_brute_force(self):
+        # trial t draws its subset from PCG64((seed ^ t) mod 2^64); the hit
+        # test here is the permutation oracle on the subset's own graph
+        seed, subset_size, trials = 21, 6, 40
+        for pattern in (K3, C4, path_graph(3)):
+            for g in random_graphs(11, 4, seed=pattern.m * 5 + pattern.n):
+                hits = 0
+                for t in range(trials):
+                    rng = np.random.Generator(np.random.PCG64((seed ^ t) & (2**64 - 1)))
+                    chosen = sorted(int(v) for v in rng.choice(g.n, size=subset_size, replace=False))
+                    local = {v: i for i, v in enumerate(chosen)}
+                    sub = Graph.from_edges(subset_size, [
+                        (local[u], local[v]) for u, v in g.edges if u in local and v in local
+                    ])
+                    hits += bool(copies_oracle(pattern, sub))
+                est = estimate_density(g, pattern, subset_size, trials=trials, seed=seed)
+                assert est.hits == hits
 
     def test_density_builds_no_graph_per_trial(self, monkeypatch):
         g = union_graph(

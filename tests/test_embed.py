@@ -124,6 +124,30 @@ class TestContainsCopy:
 
     def test_empty_pattern(self):
         assert contains_copy(empty_graph(0), complete_graph(3))
+        assert contains_copy(empty_graph(0), complete_graph(3), within=0)
+        assert contains_copy(empty_graph(0), empty_graph(0))
+
+    def test_mask_smaller_than_pattern(self):
+        k3, host = complete_graph(3), complete_graph(6)
+        assert not contains_copy(k3, host, within=0b100001)
+        assert not contains_copy(k3, host, within=0)
+        assert contains_copy(k3, host, within=0b100011)
+
+    def test_mask_outside_host_raises(self):
+        k2, host = complete_graph(2), complete_graph(4)
+        for mask in (1 << 4, 0b11111, -1):
+            with pytest.raises(InvalidVertex):
+                contains_copy(k2, host, within=mask)
+            with pytest.raises(InvalidVertex):
+                contains_copy(empty_graph(0), host, within=mask)
+
+    def test_builds_no_embedding(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("contains_copy built an Embedding")
+
+        monkeypatch.setattr(embed, "Embedding", forbidden)
+        assert contains_copy(complete_graph(3), complete_graph(5), within=0b10110)
+        assert not contains_copy(complete_graph(4), complete_graph(5), within=0b10110)
 
 
 class TestCountConsistency:
@@ -246,6 +270,16 @@ def test_within_matches_induced_subgraph(case):
     assert enumerate_copies_with_witness(pattern, host, pin, within=mask) == (
         expected_pairs, truncated
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(host_mask_and_pin())
+def test_contains_copy_is_find_first(case):
+    pattern, host, mask, _ = case
+    found = contains_copy(pattern, host, within=mask)
+    assert found == (find_embedding(pattern, host, within=mask) is not None)
+    sub, _ = induced_subgraph(host, [v for v in range(host.n) if mask >> v & 1])
+    assert found == bool(copies_oracle(pattern, sub))
 
 
 def first_of_each_copy(stream):

@@ -109,6 +109,26 @@ class TestGraph6:
         with pytest.raises(MalformedInput, match="truncated"):
             parse_graph6("~~???~??")
 
+    @pytest.mark.parametrize("n", [63, 64, 200, 258, 300])
+    def test_long_form_against_reference_encoder(self, n):
+        for g in random_graphs(n, 3, seed=n):
+            s = write_graph6(g)
+            assert s == nx_graph6(g)
+            assert parse_graph6(s) == g
+
+    def test_long_path_round_trip(self):
+        # 1,123,250 vertex pairs: both directions must be linear in them
+        g = path_graph(1500)
+        reference = nx_graph6(g)
+        assert write_graph6(g) == reference
+        assert parse_graph6(reference) == g
+
+    def test_bad_byte_inside_a_long_payload(self):
+        s = write_graph6(path_graph(100))
+        for bad, code in (("!", 33), ("\x7f", 127), ("\u00e9", 233)):
+            with pytest.raises(MalformedInput, match=f"bad graph6 byte {code}"):
+                parse_graph6(s[:500] + bad + s[501:])
+
     def test_reference_decode_agreement(self):
         for g in random_graphs(9, 30, seed=99):
             assert parse_graph6(nx_graph6(g)) == g
