@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ramseykit
 
 from ramseykit import ramsey
@@ -183,6 +185,22 @@ class TestInputHandling:
     def test_unknown_subcommand(self):
         code, _ = run(["frobnicate"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate-density", "--graph", K4_G6, "--pattern", K3_G6, "-n", "-1"],
+        ["estimate-density", "--graph", K4_G6, "--pattern", K3_G6, "-n", "3",
+         "--trials", "-5"],
+        ["count", "--graph", C4_G6, "--pattern", K3_G6, "-n", "40", "--eps", "0.3",
+         "--trials", "-2"],
+        ["dense", "--graph", K4_G6, "--pattern", K3_G6, "--eps", "0.8",
+         "--mode", "sampled", "--trials", "-3"],
+        ["construct", "--pattern", K3_G6, "--family", K4_G6, "-n", "60",
+         "--eps", "0.3", "--trials", "-2"],
+    ], ids=["estimate-density-n", "estimate-density-trials", "count-trials",
+            "dense-sampled-trials", "construct-trials"])
+    def test_negative_size_or_trials_exit_1(self, argv, capsys):
+        assert run(argv) == (1, "")
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_one_vertex_graph_inline(self):
         # the graph6 of the one-vertex graph is "@" itself, not an empty path

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import ramseykit
+from ramseykit import construction
 from ramseykit.construction import (
     ConstructionParams,
     CopySample,
@@ -380,6 +383,37 @@ class TestEstimators:
         assert est.trials == 50 and 0 < est.hits
         assert built == []
 
+    def test_density_seeds_one_generator_per_chunk(self, monkeypatch):
+        g = union_graph(
+            sample_copy_hypergraph(ConstructionParams.derive(60, K3, 0.5, seed=2), K3)
+        )
+        built = []
+        for name in ("PCG64", "Generator"):
+            real = getattr(np.random, name)
+
+            def counting(*args, _real=real, _name=name):
+                built.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(np.random, name, counting)
+        est = estimate_density(g, K3, 20, trials=200, seed=4)
+        assert est.trials == 200 and 0 < est.hits
+        # 200 trials at n = 60 are one chunk in the Floyd regime
+        assert built.count("PCG64") <= 1 and built.count("Generator") <= 1
+
+    def test_negative_size_or_trials_rejected(self):
+        g = complete_graph(6)
+        with pytest.raises(ParamOutOfRange):
+            estimate_density(g, K3, -1, trials=10)
+        with pytest.raises(ParamOutOfRange):
+            estimate_density(g, K3, 3, trials=-5)
+        with pytest.raises(ParamOutOfRange):
+            estimate_copy_count(C4, K3, 40, 0.3, trials=-2)
+        with pytest.raises(ParamOutOfRange):
+            estimate_copy_count(C4, K3, -5, 0.3, trials=0)
+        assert estimate_density(g, K3, 3, trials=0).fraction == 0.0
+        assert estimate_copy_count(C4, K3, 40, 0.3, trials=0).mean == 0.0
+
     def test_c4_union_mean_matches_brute_force(self):
         # every subset of the ten triangles of K5, weighted by its
         # probability, with C4 copies counted by raw injections
@@ -415,3 +449,58 @@ class TestEstimators:
         serial = estimate_copy_count(C4, K3, 50, 0.3, trials=6, seed=2, jobs=1)
         parallel = estimate_copy_count(C4, K3, 50, 0.3, trials=6, seed=2, jobs=2)
         assert serial.counts == parallel.counts
+
+
+def _numpy_mask(n, k, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return sum(1 << int(v) for v in rng.choice(n, size=k, replace=False))
+
+
+class TestSubsetMasks:
+    """construction._subset_masks against the per-seed numpy draw that it
+    replaces: Generator(PCG64(s)).choice(n, k, replace=False)."""
+
+    def test_matches_numpy_choice(self):
+        r = random.Random(10)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+        seeds += [r.getrandbits(64) for _ in range(12)] + [r.getrandbits(16) for _ in range(12)]
+        cases = [(0, 0), (1, 0), (1, 1), (2, 2), (9, 0), (9, 9), (9, 8), (200, 134)]
+        cases += [(n, r.randint(0, n)) for n in (r.randint(1, 300) for _ in range(30))]
+        for n, k in cases:
+            expected = [_numpy_mask(n, k, s) for s in seeds]
+            assert construction._subset_masks(n, k, seeds) == expected, (n, k)
+
+    def test_both_numpy_regimes(self):
+        # numpy runs Floyd's algorithm up to k = n // 50 above n = 10000
+        # and shuffles the tail beyond it
+        seeds = [3, 2**40 + 5, 2**64 - 1]
+        for k in (200, 201):
+            expected = [_numpy_mask(10001, k, s) for s in seeds]
+            assert construction._subset_masks(10001, k, seeds) == expected
+
+    def test_lemire_rejection_seed(self):
+        # numpy's bounded draw rejects a 32-bit output u for the bound
+        # j + 1 when (u * (j + 1)) mod 2**32 < 2**32 mod (j + 1); seed 34
+        # does so at n = 10000, k = 5000 (24 of the seeds 0-2999 do)
+        n, k, seed = 10000, 5000, 34
+        bounds = np.arange(n - k, n, dtype=np.uint64) + np.uint64(1)
+        raw = np.random.PCG64(seed).random_raw(k // 2).astype("<u8").view("<u4")
+        low = (raw.astype(np.uint64) * bounds) & np.uint64(0xFFFFFFFF)
+        assert (low < (np.uint64(1) << np.uint64(32)) % bounds).any()
+        seeds = [seed, 35, 36]
+        expected = [_numpy_mask(n, k, s) for s in seeds]
+        assert construction._subset_masks(n, k, seeds) == expected
+
+    @pytest.mark.parametrize("n, k, seed, digest", [
+        (200, 134, 0, "c22cd1b6535bb27d10818979eb0637ddca426accafc1b7aa7d0200bbe089ad46"),
+        (190, 134, 2**64 - 1, "bdd460932596ed91c621567adff36a0058ad8e8512e9cc25ded074b7c42517f4"),
+        (60, 20, 2**32 + 7, "26e93929f080a2e1fc8aed5f82efc09b03e007a41530ba6e0f898a0ca8057236"),
+        (7, 6, 3, "021fb596db81e6d02bf3d2586ee3981fe519f275c0ac9ca76bbcf2ebb4097d96"),
+        (1000, 20, 123456789, "b16c2af025933de5e27e1569f2dcea37ea564b3929e322230960dcfbb92ca165"),
+    ])
+    def test_pinned_sets(self, n, k, seed, digest):
+        # the sets every sampled report rests on, pinned apart from numpy:
+        # should a later numpy's choice differ, only the comparisons fail
+        mask = construction._subset_masks(n, k, [seed])[0]
+        assert mask.bit_count() == k
+        assert hashlib.sha256(mask.to_bytes((n + 7) // 8, "little")).hexdigest() == digest
