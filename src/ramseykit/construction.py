@@ -6,7 +6,10 @@ independently with probability p; the construction graph is the union of
 the chosen copies' edges.  Sampling draws K ~ Binomial(T, p) and then K
 distinct copies uniformly (rejection on random injections), which is
 exactly equidistributed with per-copy coin flips and runs in O(K * a)
-expected time instead of O(T).
+expected time instead of O(T).  The injections are exactly the ones
+numpy's Generator(PCG64(seed)).choice(n, a, replace=False) would return
+call by call, replayed in Python ints from one bulk read of the
+generator's output (ramseykit._npexact), as are the density trials' sets.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ._npexact import _subset_masks, choices
 from .degeneracy import extract_core, is_degenerate
 from .embed import (
     Copy,
@@ -40,9 +44,6 @@ from .graphs import (
 
 MAX_COVER_EDGES = 12
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
-_CHUNK_CELLS = 1 << 20  # trials x vertices of one batch of subset draws
 
 
 @dataclass(frozen=True)
@@ -162,15 +163,15 @@ def sample_copy_hypergraph(params: ConstructionParams, pattern: Graph) -> CopySa
         return CopySample(copies, params, T, T)
     K = int(rng.binomial(T, p))
     chosen: dict[tuple, Copy] = {}
+    injections = choices(rng, n, a)
     while len(chosen) < K:
-        injection = rng.choice(n, size=a, replace=False)
+        injection = next(injections)
         edges = frozenset(
-            (int(injection[u]), int(injection[v]))
-            if injection[u] < injection[v]
-            else (int(injection[v]), int(injection[u]))
+            (injection[u], injection[v]) if injection[u] < injection[v]
+            else (injection[v], injection[u])
             for u, v in pattern.edges
         )
-        copy = Copy(frozenset(int(x) for x in injection), edges)
+        copy = Copy(frozenset(injection), edges)
         chosen.setdefault(copy.key(), copy)
     copies = [chosen[k] for k in sorted(chosen)]
     return CopySample(copies, params, T, K)
@@ -427,6 +428,8 @@ def construct_family_free(
         k_edges=k_edges,
         deletion_multiplier=deletion_multiplier,
     )
+    if density_trials < 0:
+        raise ParamOutOfRange("density trials must be nonnegative")
     sample = sample_copy_hypergraph(params, pattern)
     g0 = union_graph(sample)
 
@@ -496,107 +499,6 @@ class CopyCountStats:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-
-def _hashmix(words: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
-    """One step of numpy's SeedSequence hash on uint32 words; returns the
-    hashed words and the next hash constant."""
-    nxt = const * mult & 0xFFFFFFFF
-    words = (words ^ np.uint32(const)) * np.uint32(nxt)
-    return words ^ (words >> np.uint32(16)), nxt
-
-
-def _pcg64_states(seeds: list[int]):
-    """Yield the state of np.random.PCG64(s) for every seed s below 2**64,
-    without building one: SeedSequence(s).generate_state(4, np.uint64) for
-    all seeds at once in uint32 arithmetic (pool size 4), then PCG64's
-    seeding in Python ints."""
-    s = np.array(seeds, dtype=np.uint64)
-    # a seed below 2**32 has one entropy word, and an absent word hashes
-    # as 0, so every seed reads as two words followed by the empty pool
-    zero = np.zeros(len(seeds), dtype=np.uint32)
-    entropy = [(s & 0xFFFFFFFF).astype(np.uint32), (s >> 32).astype(np.uint32), zero, zero]
-    # numpy's INIT_A/MULT_A, MIX_MULT_L/MIX_MULT_R and INIT_B/MULT_B
-    const = 0x43B0D7E5
-    pool = []
-    for words in entropy:
-        words, const = _hashmix(words, const, 0x931E8875)
-        pool.append(words)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const, 0x931E8875)
-                mixed = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * hashed
-                pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    const = 0x8B51F9DD
-    out = []
-    for i in range(8):
-        words, const = _hashmix(pool[i % 4], const, 0x58F38DED)
-        out.append(words.astype(np.uint64))
-    # 64-bit word i is out[2i] | out[2i+1] << 32; words 0 and 1 are the
-    # high and low halves of the 128-bit seed, words 2 and 3 of the stream
-    words = [(out[i] | out[i + 1] << np.uint64(32)).tolist() for i in range(0, 8, 2)]
-    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*words):
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        # two LCG steps from state 0, adding the seed between them
-        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
-        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-               "has_uint32": 0, "uinteger": 0}
-
-
-def _subset_masks(n: int, k: int, seeds: list[int]) -> list[int]:
-    """For every seed s below 2**64, the set that
-    np.random.Generator(np.random.PCG64(s)).choice(n, k, replace=False)
-    draws, as a vertex bitmask; one batch instead of one generator per seed.
-
-    Numpy draws by Floyd's algorithm (Bentley & Floyd, CACM 1987) unless
-    n > 10000 and k > n // 50: step j in n-k..n-1 takes v uniform in
-    [0, j] by Lemire's bounded draw (ACM TOMACS 2019) on 32-bit outputs,
-    low half of each 64-bit word first, and adds v, or j if v is taken.
-    Here each step runs for a chunk of trials at once.  A trial in which
-    Lemire's method rejects an output (probability below k * n / 2**32)
-    reads further outputs than this batch aligns, and the tail-shuffle
-    regime draws differently; those set one reused PCG64's state and call
-    choice itself."""
-    bg = np.random.PCG64(0)
-    gen = np.random.Generator(bg)
-
-    def by_choice(state: dict) -> int:
-        bg.state = state
-        return sum(1 << int(v) for v in gen.choice(n, size=k, replace=False))
-
-    if n > 10000 and k > n // 50:
-        return [by_choice(state) for state in _pcg64_states(seeds)]
-    first = max(n - k, 1)  # step j == 0 (k == n) takes 0 and draws nothing
-    words = (n - first + 1) // 2
-    chunk = max(1, _CHUNK_CELLS // max(n, 1))
-    masks = []
-    for lo in range(0, len(seeds), chunk):
-        part = seeds[lo:lo + chunk]
-        raw = np.empty((len(part), words), dtype=np.uint64)
-        for r, state in enumerate(_pcg64_states(part)):
-            bg.state = state
-            raw[r] = bg.random_raw(words)
-        draws = raw.astype("<u8", copy=False).view("<u4")
-        rows = np.arange(len(part))
-        chosen = np.zeros((len(part), n), dtype=bool)
-        if k == n > 0:
-            chosen[:, 0] = True
-        rejected = np.zeros(len(part), dtype=bool)
-        for i, j in enumerate(range(first, n)):
-            m = draws[:, i].astype(np.uint64) * np.uint64(j + 1)
-            rejected |= (m & 0xFFFFFFFF) < (1 << 32) % (j + 1)
-            v = (m >> 32).astype(np.intp)
-            v[chosen[rows, v]] = j
-            chosen[rows, v] = True
-        packed = np.packbits(chosen, axis=1, bitorder="little")
-        width = packed.shape[1]
-        flat = packed.tobytes()
-        masks += [int.from_bytes(flat[r * width:(r + 1) * width], "little")
-                  for r in range(len(part))]
-        for r in np.flatnonzero(rejected):
-            masks[lo + r] = by_choice(next(_pcg64_states([part[r]])))
-    return masks
 
 
 def _density_trial(args) -> int:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ramseykit
-from ramseykit import construction
+from ramseykit import _npexact, construction
 from ramseykit.construction import (
     ConstructionParams,
     CopySample,
@@ -320,6 +320,14 @@ class TestConstruct:
         b = construct_family_free(60, K3, [complete_graph(4)], 0.3, seed=9)[1]
         assert a.to_json_dict() == b.to_json_dict()
 
+    def test_negative_density_trials_fail_before_sampling(self, monkeypatch):
+        def sampled(*args):
+            raise AssertionError("sampled before the trials check")
+
+        monkeypatch.setattr(construction, "sample_copy_hypergraph", sampled)
+        with pytest.raises(ParamOutOfRange):
+            construct_family_free(200, K3, [complete_graph(4)], 0.3, density_trials=-2)
+
     def test_deletions_hit_every_copy(self):
         final, rep = construct_family_free(80, K3, [complete_graph(4)], 0.4, seed=4)
         assert rep.family_free == [True]
@@ -457,7 +465,7 @@ def _numpy_mask(n, k, seed):
 
 
 class TestSubsetMasks:
-    """construction._subset_masks against the per-seed numpy draw that it
+    """_npexact._subset_masks against the per-seed numpy draw that it
     replaces: Generator(PCG64(s)).choice(n, k, replace=False)."""
 
     def test_matches_numpy_choice(self):
@@ -468,7 +476,7 @@ class TestSubsetMasks:
         cases += [(n, r.randint(0, n)) for n in (r.randint(1, 300) for _ in range(30))]
         for n, k in cases:
             expected = [_numpy_mask(n, k, s) for s in seeds]
-            assert construction._subset_masks(n, k, seeds) == expected, (n, k)
+            assert _npexact._subset_masks(n, k, seeds) == expected, (n, k)
 
     def test_both_numpy_regimes(self):
         # numpy runs Floyd's algorithm up to k = n // 50 above n = 10000
@@ -476,7 +484,7 @@ class TestSubsetMasks:
         seeds = [3, 2**40 + 5, 2**64 - 1]
         for k in (200, 201):
             expected = [_numpy_mask(10001, k, s) for s in seeds]
-            assert construction._subset_masks(10001, k, seeds) == expected
+            assert _npexact._subset_masks(10001, k, seeds) == expected
 
     def test_lemire_rejection_seed(self):
         # numpy's bounded draw rejects a 32-bit output u for the bound
@@ -489,7 +497,7 @@ class TestSubsetMasks:
         assert (low < (np.uint64(1) << np.uint64(32)) % bounds).any()
         seeds = [seed, 35, 36]
         expected = [_numpy_mask(n, k, s) for s in seeds]
-        assert construction._subset_masks(n, k, seeds) == expected
+        assert _npexact._subset_masks(n, k, seeds) == expected
 
     @pytest.mark.parametrize("n, k, seed, digest", [
         (200, 134, 0, "c22cd1b6535bb27d10818979eb0637ddca426accafc1b7aa7d0200bbe089ad46"),
@@ -501,6 +509,120 @@ class TestSubsetMasks:
     def test_pinned_sets(self, n, k, seed, digest):
         # the sets every sampled report rests on, pinned apart from numpy:
         # should a later numpy's choice differ, only the comparisons fail
-        mask = construction._subset_masks(n, k, [seed])[0]
+        mask = _npexact._subset_masks(n, k, [seed])[0]
         assert mask.bit_count() == k
         assert hashlib.sha256(mask.to_bytes((n + 7) // 8, "little")).hexdigest() == digest
+
+
+def _numpy_choices(rng, n, a, calls):
+    return [rng.choice(n, size=a, replace=False).tolist() for _ in range(calls)]
+
+
+def _replayed(rng, n, a, calls):
+    draws = _npexact.choices(rng, n, a)
+    return [next(draws) for _ in range(calls)]
+
+
+def _generator(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+class TestChoices:
+    """_npexact.choices against successive
+    Generator(PCG64(s)).choice(n, a, replace=False) calls, as ordered lists."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+    def test_matches_numpy_choice(self):
+        r = random.Random(11)
+        seeds = self.SEEDS + [r.getrandbits(64) for _ in range(6)]
+        cases = [(0, 0), (1, 0), (1, 1), (2, 2), (3, 3), (5, 5), (9, 9)]
+        cases += [(2, 1), (3, 2), (4, 3), (5, 4), (9, 8), (121, 120)]
+        cases += [(n, r.randint(0, min(n, 12))) for n in (r.randint(1, 300) for _ in range(20))]
+        for n, a in cases:
+            for seed in seeds:
+                expected = _numpy_choices(_generator(seed), n, a, 40)
+                assert _replayed(_generator(seed), n, a, 40) == expected, (n, a, seed)
+
+    def test_after_binomial_over_many_reads(self):
+        # the copy sampler's use: one binomial draw, then more outputs than
+        # the first bulk read holds
+        for seed in self.SEEDS:
+            ref, rng = _generator(seed), _generator(seed)
+            assert ref.binomial(10**6, 0.3) == rng.binomial(10**6, 0.3)
+            assert _replayed(rng, 120, 4, 600) == _numpy_choices(ref, 120, 4, 600)
+
+    def test_pending_half_word(self):
+        for seed in self.SEEDS:
+            ref, rng = _generator(seed), _generator(seed)
+            ref.random(dtype=np.float32)  # takes the low half of one output
+            rng.random(dtype=np.float32)
+            assert rng.bit_generator.state["has_uint32"] == 1
+            assert _replayed(rng, 50, 3, 30) == _numpy_choices(ref, 50, 3, 30)
+
+    def test_half_rejecting_bound(self, monkeypatch):
+        # Lemire's method rejects u for the bound j + 1 when
+        # (u * (j + 1)) mod 2**32 < 2**32 mod (j + 1), about half of all u
+        # just above 2**31
+        used = []
+        uint32s = _npexact._uint32s
+
+        def counting(bg):
+            for u in uint32s(bg):
+                used.append(u)
+                yield u
+
+        monkeypatch.setattr(_npexact, "_uint32s", counting)
+        n, a, calls = 2**31 + 12345, 4, 100
+        for seed in (5, 2**64 - 1):
+            used.clear()
+            replayed = _replayed(_generator(seed), n, a, calls)
+            assert replayed == _numpy_choices(_generator(seed), n, a, calls)
+            assert len(used) > 1.3 * calls * (2 * a - 1)
+
+    def test_numpy_drawn_regimes(self, monkeypatch):
+        # from n = 2**32 numpy's bounded draw changes, and above n = 10000
+        # with a > n // 50 it shuffles a tail; numpy's choice draws there
+        monkeypatch.setattr(_npexact, "_uint32s", None)
+        for n, a in [(2**32, 3), (2**32 + 5, 4), (2**40, 2), (10001, 201)]:
+            for seed in (3, 2**64 - 1):
+                expected = _numpy_choices(_generator(seed), n, a, 5)
+                assert _replayed(_generator(seed), n, a, 5) == expected, (n, a)
+
+    def test_copies_match_numpy_choice_loop(self):
+        # sample_copy_hypergraph against its per-copy choice loop on
+        # patterns whose copies depend on the injections' order
+        for pattern in (complete_graph(2), K3, path_graph(3), C4):
+            for n, p in [(pattern.n + 1, 0.5), (40, None), (120, None)]:
+                for seed in (0, 2**32, 2**64 - 1):
+                    params = ConstructionParams.derive(n, pattern, 0.1, seed=seed, p_override=p)
+                    sample = sample_copy_hypergraph(params, pattern)
+                    rng = _generator(seed)
+                    K = int(rng.binomial(total_copy_count(n, pattern), params.p))
+                    chosen = {}
+                    while len(chosen) < K:
+                        inj = rng.choice(n, size=pattern.n, replace=False).tolist()
+                        edges = frozenset(tuple(sorted((inj[u], inj[v]))) for u, v in pattern.edges)
+                        copy = Copy(frozenset(inj), edges)
+                        chosen.setdefault(copy.key(), copy)
+                    assert [c.key() for c in sample.copies] == sorted(chosen)
+
+    @pytest.mark.parametrize("n, pattern, eps, seed, digest", [
+        (120, "K3", 0.3, 0,
+         "f516350ddce5dcef7258cb5c8f64c1e58d24b38850b5a024002aa84e10f2196a"),
+        (60, "C4", 0.5, 2**64 - 1,
+         "528a504608d259479dc7799d35ee1c791cd77160d13ab52286af8949254b0bbd"),
+        (200, "P3", 0.1, 2**32,
+         "a4aa930fd1946f5b010e0608b813bd4526592524d502778bfe7f4d24656dc589"),
+        (300, "K2", 0.05, 2**63,
+         "c44b5da4e08ec7477de066157fd7acbfb567305bbf04bddb7d8971d9a888d06f"),
+        (12, "C4", 1.5, 7,
+         "d8740b9ad09a2c894885560504a9ec6ecf2f2984a839f6abc2b01a67d86e79cc"),
+    ])
+    def test_pinned_copies(self, n, pattern, eps, seed, digest):
+        # the copies every sampled report rests on, pinned apart from numpy:
+        # should a later numpy's choice differ, only the comparisons fail
+        pattern = {"K2": complete_graph(2), "K3": K3, "P3": path_graph(3), "C4": C4}[pattern]
+        sample = sample_copy_hypergraph(ConstructionParams.derive(n, pattern, eps, seed=seed), pattern)
+        keys = repr([c.key() for c in sample.copies]).encode()
+        assert hashlib.sha256(keys).hexdigest() == digest
