@@ -16,7 +16,7 @@ from . import certify, construction, ramsey
 from .blocks import block_decomposition
 from .degeneracy import DEFAULT_NODE_BUDGET, forest_decomposition, is_degenerate
 from .embed import DEFAULT_COPY_LIMIT
-from .errors import EnumerationTruncated, RamseykitError
+from .errors import EnumerationTruncated, ParamOutOfRange, RamseykitError
 from .graphs import Graph, parse_edge_list, parse_graph6, write_graph6
 from .report import envelope, to_json, to_text
 
@@ -244,6 +244,8 @@ def run(argv: list[str]) -> tuple[int, str]:
         return (exc.code if isinstance(exc.code, int) else 1), ""
     handler, echoed = _COMMANDS[args.command]
     try:
+        if getattr(args, "budget", 0) < 0:
+            raise ParamOutOfRange("--budget must be nonnegative")
         graphs = {}
         for name in ("graph", "pattern", "forest", "family"):
             spec = getattr(args, name, None)

@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from ._npexact import _subset_masks, choices
-from .degeneracy import extract_core, is_degenerate
+from .degeneracy import extract_core
 from .embed import (
     Copy,
     DEFAULT_COPY_LIMIT,
@@ -32,7 +32,13 @@ from .embed import (
     count_copies,
     enumerate_copies,
 )
-from .errors import EnumerationTruncated, NotApplicable, ParamOutOfRange, TooLarge
+from .errors import (
+    EnumerationTruncated,
+    IsDegenerate,
+    NotApplicable,
+    ParamOutOfRange,
+    TooLarge,
+)
 from .graphs import (
     Edge,
     Graph,
@@ -414,11 +420,12 @@ def construct_family_free(
         raise ParamOutOfRange("family must be nonempty")
     cores = []
     for member in family:
-        if is_degenerate(member, pattern).degenerate:
+        try:
+            cores.append(extract_core(member, pattern))
+        except IsDegenerate:
             raise NotApplicable(
                 "a family member is pattern-degenerate; no free dense graph exists"
-            )
-        cores.append(extract_core(member, pattern))
+            ) from None
     k_edges = max(core.m for core in cores)
     params = ConstructionParams.derive(
         n,

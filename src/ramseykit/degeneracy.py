@@ -12,6 +12,7 @@ pieces a partition search over the block-cut structure.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .blocks import Block, block_decomposition
@@ -47,13 +48,18 @@ class DegeneracyCheck:
     offending_block: Block | None
 
 
-def is_degenerate(graph: Graph, pattern: Graph) -> DegeneracyCheck:
-    """Does every block of graph embed into pattern?"""
+def _offending_blocks(graph: Graph, pattern: Graph) -> Iterator[Block]:
+    """The blocks of graph that do not embed into pattern, in block order."""
     for block in block_decomposition(graph).blocks:
         sub, _ = subgraph_from_sets(block.vertices, block.edges)
         if find_embedding(sub, pattern) is None:
-            return DegeneracyCheck(False, block)
-    return DegeneracyCheck(True, None)
+            yield block
+
+
+def is_degenerate(graph: Graph, pattern: Graph) -> DegeneracyCheck:
+    """Does every block of graph embed into pattern?"""
+    block = next(_offending_blocks(graph, pattern), None)
+    return DegeneracyCheck(block is None, block)
 
 
 def extract_core(graph: Graph, pattern: Graph) -> Graph:
@@ -62,11 +68,7 @@ def extract_core(graph: Graph, pattern: Graph) -> Graph:
     Ties on vertex count break by block order.  The result is relabeled
     to 0..k-1.
     """
-    offending = []
-    for block in block_decomposition(graph).blocks:
-        sub, _ = subgraph_from_sets(block.vertices, block.edges)
-        if find_embedding(sub, pattern) is None:
-            offending.append(block)
+    offending = list(_offending_blocks(graph, pattern))
     if not offending:
         raise IsDegenerate("every block embeds into the pattern")
     best = min(offending, key=lambda b: (len(b.vertices), b.edges))
@@ -155,78 +157,74 @@ def forest_decomposition(
     """Minimum-size forest decomposition of graph over pattern-embeddable
     pieces, or None when some block does not embed into pattern.
 
-    Exact branch and bound over groupings of blocks and isolated vertices;
-    among minimum decompositions the lexicographically smallest sequence
-    of piece vertex sets is returned.  If the node budget runs out the
-    result is still valid but flagged non-minimal.
+    One exact branch and bound over groupings of blocks and isolated
+    vertices keeps the smallest (size, piece vertex sets in order)
+    partition found, so among minimum decompositions the lexicographically
+    smallest sequence of piece vertex sets is returned, and a larger node
+    budget never gives a larger decomposition.  If the budget runs out the
+    best decomposition found so far (one piece per block or isolated
+    vertex if none was) is returned; minimal is True exactly when the
+    search finished.
     """
     atoms = _atoms(graph)
     n_atoms = len(atoms)
     if n_atoms == 0:
         return ForestDecomposition([], [], [], 0, True)
 
-    embed_memo: dict[frozenset[int], bool] = {}
+    # atom group -> (vertices, edges, piece vertex -> pattern vertex map or
+    # None when the group does not embed)
+    memo: dict[frozenset[int], tuple] = {}
 
     def group_embeds(atom_ids: frozenset[int]) -> bool:
-        cached = embed_memo.get(atom_ids)
-        if cached is not None:
-            return cached
-        vs: set[int] = set()
-        es: set[Edge] = set()
-        for i in atom_ids:
-            vs |= atoms[i][0]
-            es |= atoms[i][1]
-        sub, _ = subgraph_from_sets(vs, es)
-        ok = find_embedding(sub, pattern) is not None
-        embed_memo[atom_ids] = ok
-        return ok
+        entry = memo.get(atom_ids)
+        if entry is None:
+            vs = frozenset().union(*(atoms[i][0] for i in atom_ids))
+            es = frozenset().union(*(atoms[i][1] for i in atom_ids))
+            sub, kept = subgraph_from_sets(vs, es)
+            emb = find_embedding(sub, pattern)
+            emb_map = None if emb is None else {kept[i]: emb.map[i] for i in range(sub.n)}
+            entry = memo[atom_ids] = (vs, es, emb_map)
+        return entry[2] is not None
 
-    for i in range(n_atoms):
-        if not group_embeds(frozenset({i})):
-            return None
+    if not all(group_embeds(frozenset({i})) for i in range(n_atoms)):
+        return None
 
-    nodes = 0
-    best: list[list[frozenset[int]]] = []
-    best_size = n_atoms + 1
+    # incumbent: (size, key, partition, order), key the piece vertex sets in
+    # _order_groups order
+    best: tuple | None = None
 
-    def vsets(groups) -> list[frozenset[int]]:
-        out = []
-        for grp in groups:
-            vs: set[int] = set()
-            for i in grp:
-                vs |= atoms[i][0]
-            out.append(frozenset(vs))
-        return out
+    def offer(groups: list[frozenset[int]]) -> None:
+        nonlocal best
+        group_vsets = [memo[grp][0] for grp in groups]
+        order = _order_groups(group_vsets)  # a forest incidence always has one
+        key = tuple(tuple(sorted(group_vsets[i])) for i in order)
+        if best is None or (len(groups), key) < best[:2]:
+            best = (len(groups), key, list(groups), order)
 
-    def search(collect_at: int | None) -> bool:
+    def search() -> bool:
         # Atoms go into groups in id order, depth first on an explicit
         # stack, one node per placement tried; False when the budget runs
-        # out.  collect_at None: minimize; otherwise record all partitions
-        # of exactly that many groups.
-        nonlocal nodes, best_size
-        groups: list[set[int]] = []
+        # out.  Partitions as large as the incumbent still compete on key.
+        nodes = 0
+        groups: list[frozenset[int]] = []
         # frames[i] = [group holding atom i, bound on the groups it may try,
         # fixed when the frame was pushed]
         frames: list[list[int]] = []
-        target = collect_at if collect_at is not None else best_size - 1
         ok = True
         while True:
-            if ok and len(groups) <= target:
+            size = best[0] if best else n_atoms + 1
+            if ok and len(groups) <= size:
                 if len(frames) < n_atoms:
-                    frames.append([-1, min(len(groups) + 1, target)])
-                elif collect_at is None or len(groups) == collect_at:
-                    if collect_at is None:
-                        best_size = len(groups)
-                        target = best_size - 1
-                        best.clear()
-                    best.append([frozenset(grp) for grp in groups])
+                    frames.append([-1, min(len(groups) + 1, size)])
+                else:
+                    offer(groups)
             if not frames:
                 return True
             i = len(frames) - 1
             frame = frames[i]
             gi = frame[0]
             if gi >= 0:
-                groups[gi].remove(i)
+                groups[gi] -= {i}
                 if not groups[gi]:
                     groups.pop()
             gi += 1
@@ -239,53 +237,26 @@ def forest_decomposition(
                 return False
             frame[0] = gi
             if gi == len(groups):
-                groups.append(set())
-            groups[gi].add(i)
-            ok = group_embeds(frozenset(groups[gi])) and _incidence_is_forest(vsets(groups))
+                groups.append(frozenset())
+            groups[gi] |= {i}
+            ok = group_embeds(groups[gi]) and _incidence_is_forest(
+                [memo[grp][0] for grp in groups]
+            )
 
-    minimal = search(None)
-    if minimal:
-        # re-enumerate every partition at the proven minimum for the
-        # deterministic lexicographic tie-break
-        best.clear()
-        search(best_size)
-    if not best:
-        # budget died before any full partition: fall back to one atom per piece
-        best.append([frozenset({i}) for i in range(n_atoms)])
-        minimal = n_atoms == 1
+    minimal = search()
+    if best is None:
+        offer([frozenset({i}) for i in range(n_atoms)])
 
-    chosen = None
-    chosen_key = None
-    for partition in best:
-        group_vsets = vsets(partition)
-        order = _order_groups(group_vsets)
-        if order is None:
-            continue
-        key = tuple(tuple(sorted(group_vsets[i])) for i in order)
-        if chosen_key is None or key < chosen_key:
-            chosen_key = key
-            chosen = (partition, order)
-
-    partition, order = chosen
+    _, _, partition, order = best
     pieces: list[Piece] = []
     attachments: list[int | None] = []
     embeddings: list[dict[int, int]] = []
     covered: set[int] = set()
     for idx in order:
-        grp = partition[idx]
-        vs: set[int] = set()
-        es: set[Edge] = set()
-        for i in grp:
-            vs |= atoms[i][0]
-            es |= atoms[i][1]
+        vs, es, emb_map = memo[partition[idx]]
         overlap = vs & covered
         attachments.append(min(overlap) if overlap else None)
         covered |= vs
-        piece = Piece(tuple(sorted(vs)), tuple(sorted(es)))
-        pieces.append(piece)
-        sub, kept = subgraph_from_sets(vs, es)
-        emb = find_embedding(sub, pattern)
-        embeddings.append({kept[i]: emb.map[i] for i in range(sub.n)})
-    if attachments:
-        attachments[0] = None
+        pieces.append(Piece(tuple(sorted(vs)), tuple(sorted(es))))
+        embeddings.append(emb_map)
     return ForestDecomposition(pieces, attachments, embeddings, len(pieces), minimal)

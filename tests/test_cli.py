@@ -202,6 +202,19 @@ class TestInputHandling:
         assert run(argv) == (1, "")
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["forest", "--graph", BOWTIE_G6, "--pattern", K3_G6],
+        ["color", "--graph", K4_G6, "--pattern", K3_G6, "--forest", BOWTIE_G6],
+        ["ramsey", "--graph", K4_G6, "--pattern", K3_G6, "-r", "2"],
+        ["construct", "--pattern", K3_G6, "--family", K4_G6, "-n", "60",
+         "--eps", "0.3"],
+        ["count", "--graph", C4_G6, "--pattern", K3_G6, "-n", "40", "--eps", "0.3",
+         "--trials", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_budget_exit_1(self, argv, capsys):
+        assert run(argv + ["--budget", "-1"]) == (1, "")
+        assert capsys.readouterr().err == "error: --budget must be nonnegative\n"
+
     def test_one_vertex_graph_inline(self):
         # the graph6 of the one-vertex graph is "@" itself, not an empty path
         code, doc = run_json(["blocks", "--graph", "@"])

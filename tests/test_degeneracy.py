@@ -16,6 +16,7 @@ from ramseykit.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    parse_graph6,
     path_graph,
     subgraph_from_sets,
 )
@@ -211,6 +212,69 @@ class TestForestDecomposition:
         assert [p.vertices for p in a.pieces] == [p.vertices for p in b.pieces]
         # lexicographically smallest piece sequence starts at vertex 0
         assert a.pieces[0].vertices[0] == 0
+
+    def test_larger_budget_keeps_the_smaller_decomposition(self):
+        # C4 with an isolated vertex, over C4: 1 piece is found within 3
+        # nodes and must survive any larger budget
+        g, pattern = parse_graph6("CB"), parse_graph6("Cl")
+        for budget in (3, 6):
+            assert forest_decomposition(g, pattern, node_budget=budget).size == 1
+
+    def test_minimal_only_when_the_search_finished(self):
+        g, pattern = parse_graph6("EBO?"), complete_graph(3)
+        unbounded = forest_decomposition(g, pattern)
+        for budget in (27, 30):
+            dec = forest_decomposition(g, pattern, node_budget=budget)
+            check_decomposition(g, pattern, dec)
+            assert not dec.minimal or dec.pieces == unbounded.pieces
+
+    def test_budget_ladder(self):
+        # sizes never grow with the budget; minimal results are the
+        # unbounded answer and are size-optimal by the brute-force oracle
+        rng = random.Random(11)
+        ladders = 0
+        for _ in range(40):
+            n = rng.randint(3, 8)
+            p = rng.choice((0.2, 0.3, 0.45))
+            g = Graph.from_edges(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            )
+            for pattern in (complete_graph(2), complete_graph(3), path_graph(3),
+                            cycle_graph(4)):
+                unbounded = forest_decomposition(g, pattern)
+                if unbounded is None:
+                    continue
+                ladders += 1
+                optimum = forest_size_oracle(g, pattern) if g.m <= 8 else None
+                size = None
+                for budget in range(0, 121, 4):
+                    dec = forest_decomposition(g, pattern, node_budget=budget)
+                    assert size is None or dec.size <= size
+                    size = dec.size
+                    if dec.minimal:
+                        assert dec.pieces == unbounded.pieces
+                        assert optimum is None or dec.size == optimum
+        assert ladders > 80
+
+    def test_each_atom_group_embedded_once(self, monkeypatch):
+        from ramseykit import degeneracy
+
+        groups, searches = [], []
+
+        def recording_sets(vertices, edges):
+            groups.append((frozenset(vertices), frozenset(edges)))
+            return subgraph_from_sets(vertices, edges)
+
+        def recording_find(sub, pattern):
+            searches.append(sub)
+            return find_embedding(sub, pattern)
+
+        monkeypatch.setattr(degeneracy, "subgraph_from_sets", recording_sets)
+        monkeypatch.setattr(degeneracy, "find_embedding", recording_find)
+        g = disjoint_union(bowtie(), path_graph(4))
+        dec = forest_decomposition(g, complete_graph(3))
+        check_decomposition(g, complete_graph(3), dec)
+        assert len(searches) == len(groups) == len(set(groups))
 
 
 def _recursive_order_groups(group_vsets: list[frozenset[int]]) -> list[int] | None:
