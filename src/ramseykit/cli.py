@@ -246,6 +246,8 @@ def run(argv: list[str]) -> tuple[int, str]:
     try:
         if getattr(args, "budget", 0) < 0:
             raise ParamOutOfRange("--budget must be nonnegative")
+        if getattr(args, "jobs", 1) < 1:
+            raise ParamOutOfRange("--jobs must be at least 1")
         graphs = {}
         for name in ("graph", "pattern", "forest", "family"):
             spec = getattr(args, name, None)

@@ -15,6 +15,7 @@ generator's output (ramseykit._npexact), as are the density trials' sets.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import combinations
@@ -31,6 +32,7 @@ from .embed import (
     contains_copy,
     count_copies,
     enumerate_copies,
+    subset_hits,
 )
 from .errors import (
     EnumerationTruncated,
@@ -508,9 +510,9 @@ class CopyCountStats:
         return asdict(self)
 
 
-def _density_trial(args) -> int:
-    g, pattern, mask = args
-    return 1 if contains_copy(pattern, g, within=mask) else 0
+def _density_chunk(args) -> int:
+    g, pattern, masks = args
+    return sum(subset_hits(pattern, g, masks))
 
 
 def _copy_count_trial(args) -> int:
@@ -524,11 +526,18 @@ def _copy_count_trial(args) -> int:
     return count
 
 
+def _workers(jobs: int, tasks: int) -> int:
+    """Worker processes for tasks: never more than tasks or CPUs."""
+    workers = min(jobs, tasks)
+    return min(workers, os.cpu_count() or 1) if workers > 1 else 1
+
+
 def _run_trials(worker, jobs: int, tasks: list) -> list:
-    if jobs <= 1:
+    workers = _workers(jobs, len(tasks))
+    if workers == 1:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // jobs)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // workers)))
 
 
 def estimate_density(
@@ -542,13 +551,16 @@ def estimate_density(
     """Fraction of uniform subsets of the given size whose induced subgraph
     contains a pattern copy.  Trial t tests the set that
     Generator(PCG64((seed ^ t) mod 2**64)).choice draws; all sets are drawn
-    here, in one batch, and only the searches go to the workers."""
+    here, in one batch, and each worker searches one contiguous chunk of
+    them with subset_hits, so copies found answer later sets."""
     if subset_size < 0 or trials < 0:
         raise ParamOutOfRange("subset size and trials must be nonnegative")
     if subset_size > g.n:
         raise ParamOutOfRange("subset size exceeds graph order")
     masks = _subset_masks(g.n, subset_size, [(seed ^ t) & _SEED_MASK for t in range(trials)])
-    hits = sum(_run_trials(_density_trial, jobs, [(g, pattern, mask) for mask in masks]))
+    size = max(1, -(-trials // _workers(jobs, trials)))
+    chunks = [(g, pattern, masks[i:i + size]) for i in range(0, trials, size)]
+    hits = sum(_run_trials(_density_chunk, jobs, chunks))
     return DensityEstimate(hits / trials if trials else 0.0, hits, trials, subset_size)
 
 

@@ -22,6 +22,9 @@ from .errors import InvalidVertex
 from .graphs import Edge, Graph
 
 DEFAULT_COPY_LIMIT = 100_000
+# copies subset_hits keeps to answer later masks from; more makes every
+# miss scan longer where few copies fit a mask
+MEMO_COPIES = 8
 
 
 @dataclass(frozen=True)
@@ -254,6 +257,40 @@ def contains_copy(pattern: Graph, host: Graph, within: int | None = None) -> boo
     if pattern.n > within.bit_count():
         return False
     return next(_assignments(_search_plan(pattern, None), host, within), None) is not None
+
+
+def subset_hits(pattern: Graph, host: Graph, masks):
+    """Yield, for each host vertex mask in masks, whether the subgraph it
+    induces holds a copy of pattern: contains_copy(pattern, host, mask),
+    mask by mask.
+
+    The vertex masks of the MEMO_COPIES copies used most recently are kept,
+    most recent first.  A mask holding one of them is answered True without
+    a search; otherwise the find-first search runs inside the mask and a
+    copy it finds goes to the front.
+    """
+    plan = _search_plan(pattern, None)
+    pn, hn = pattern.n, host.n
+    found: list[int] = []
+    for mask in masks:
+        if mask >> hn:  # also catches negative masks
+            raise InvalidVertex(f"vertex mask reaches outside 0..{hn - 1}")
+        if pn > mask.bit_count():
+            yield False
+            continue
+        for c in found:
+            if c & mask == c:
+                found.remove(c)
+                break
+        else:
+            assignment = next(_assignments(plan, host, mask), None)
+            if assignment is None:
+                yield False
+                continue
+            c = sum(map((1).__lshift__, assignment))
+            del found[MEMO_COPIES - 1:]
+        found.insert(0, c)
+        yield True
 
 
 def _distinct_copies(pattern, host, pin, limit, within) -> tuple[list[Embedding], bool]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .construction import estimate_density
-from .embed import Copy, DEFAULT_COPY_LIMIT, enumerate_copies, find_embedding
+from .embed import Copy, DEFAULT_COPY_LIMIT, enumerate_copies, subset_hits
 from .errors import (
     CertificateError,
     EnumerationTruncated,
@@ -143,7 +143,8 @@ def is_eps_dense(
     seed: int = 0,
 ) -> DensityResult:
     """Does every induced subgraph on floor(eps * n) vertices contain a
-    pattern copy?  Exact over all subsets, or estimated on uniform samples.
+    pattern copy?  Exact over all subsets, or estimated on uniform samples;
+    both modes answer the subsets with embed.subset_hits.
     """
     if not 0 < eps <= 1:
         raise ParamOutOfRange("eps must lie in (0, 1]")
@@ -157,8 +158,10 @@ def is_eps_dense(
             raise SubsetSpaceTooLarge(
                 f"C({n},{size}) exceeds the exact cap {EXACT_SUBSET_CAP}"
             )
-        for tried, subset in enumerate(combinations(range(n), size), 1):
-            if find_embedding(pattern, g, within=sum(1 << v for v in subset)) is None:
+        masks = map(sum, combinations([1 << v for v in range(n)], size))
+        hits = subset_hits(pattern, g, masks)
+        for tried, (subset, hit) in enumerate(zip(combinations(range(n), size), hits), 1):
+            if not hit:
                 return DensityResult("exact", False, 0.0, 0, tried, size, subset)
         return DensityResult("exact", True, 1.0, total, total, size)
     if mode != "sampled":

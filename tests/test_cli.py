@@ -215,6 +215,16 @@ class TestInputHandling:
         assert run(argv + ["--budget", "-1"]) == (1, "")
         assert capsys.readouterr().err == "error: --budget must be nonnegative\n"
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["count", "--graph", C4_G6, "--pattern", K3_G6, "-n", "40", "--eps", "0.3",
+         "--trials", "2"],
+        ["estimate-density", "--graph", K4_G6, "--pattern", K3_G6, "-n", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_jobs_below_one_exit_1(self, argv, jobs, capsys):
+        assert run(argv + ["--jobs", jobs]) == (1, "")
+        assert capsys.readouterr().err == "error: --jobs must be at least 1\n"
+
     def test_one_vertex_graph_inline(self):
         # the graph6 of the one-vertex graph is "@" itself, not an empty path
         code, doc = run_json(["blocks", "--graph", "@"])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ramseykit
-from ramseykit import _npexact, construction
+from ramseykit import _npexact, construction, embed
 from ramseykit.construction import (
     ConstructionParams,
     CopySample,
@@ -457,6 +457,107 @@ class TestEstimators:
         serial = estimate_copy_count(C4, K3, 50, 0.3, trials=6, seed=2, jobs=1)
         parallel = estimate_copy_count(C4, K3, 50, 0.3, trials=6, seed=2, jobs=2)
         assert serial.counts == parallel.counts
+
+
+def _gnp(n, p, seed):
+    rng = random.Random(seed)
+    return Graph.from_edges(
+        n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+    )
+
+
+@pytest.fixture(scope="module")
+def construct_200():
+    """The n = 200, seed 0 construction output with the arguments of its
+    own density estimate: K3, subset size, trial seed."""
+    final, rep = construct_family_free(200, K3, [complete_graph(4)], 0.3, seed=0)
+    return final, K3, rep.density_subset_size, 0 ^ 0xD1CE
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records its arguments and maps
+    in this process."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.tasks = None
+        FakePool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        self.tasks = list(tasks)
+        return map(fn, self.tasks)
+
+
+class TestDensityTrials:
+    """estimate_density answers its trial sets with embed.subset_hits."""
+
+    REGIMES = {
+        "high-fit": None,  # the construct_200 fixture
+        "low-fit-dense": (_gnp(60, 0.5, 1), complete_graph(4), 12, 5),
+        "low-fit-sparse": (_gnp(300, 0.01, 2), path_graph(4), 30, 6),
+    }
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_hits_equal_contains_copy_per_mask(self, regime, jobs, construct_200):
+        g, pattern, k, seed = self.REGIMES[regime] or construct_200
+        trials = 1000
+        masks = _npexact._subset_masks(g.n, k, [seed ^ t for t in range(trials)])
+        expected = sum(contains_copy(pattern, g, within=mask) for mask in masks)
+        assert 0 < expected
+        est = estimate_density(g, pattern, k, trials=trials, seed=seed, jobs=jobs)
+        assert (est.hits, est.trials, est.subset_size) == (expected, trials, k)
+
+    def test_found_copies_answer_later_trials(self, monkeypatch, construct_200):
+        g, pattern, k, seed = construct_200
+        searches = []
+        real = embed._assignments
+
+        def counting(*args, **kwargs):
+            searches.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(embed, "_assignments", counting)
+        est = estimate_density(g, pattern, k, trials=1000, seed=seed)
+        assert est.hits == 1000
+        assert len(searches) <= 150
+
+    def test_workers_clamped_to_tasks_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(construction, "ProcessPoolExecutor", FakePool)
+        g = _gnp(30, 0.3, 4)
+        serial = estimate_density(g, K3, 8, trials=10, seed=3)
+        counts = estimate_copy_count(C4, K3, 40, 0.3, trials=3, seed=1).counts
+        for cpus, workers in ((64, 10), (4, 4)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            FakePool.made = []
+            assert estimate_density(g, K3, 8, trials=10, seed=3, jobs=5000) == serial
+            assert estimate_copy_count(C4, K3, 40, 0.3, trials=3, seed=1, jobs=5000).counts == counts
+            density, copy_count = FakePool.made
+            assert (density.max_workers, copy_count.max_workers) == (workers, min(workers, 3))
+            # one contiguous chunk of trial sets per worker, in trial order
+            assert len(density.tasks) == workers
+            masks = _npexact._subset_masks(g.n, 8, [3 ^ t for t in range(10)])
+            assert [m for _, _, chunk in density.tasks for m in chunk] == masks
+
+    @pytest.mark.parametrize("cpus, jobs", [(None, 8), (1, 8), (64, 1), (64, 0), (64, -3)])
+    def test_one_worker_runs_in_process(self, monkeypatch, cpus, jobs):
+        monkeypatch.setattr(construction, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        FakePool.made = []
+        g = _gnp(30, 0.3, 4)
+        assert estimate_density(g, K3, 8, trials=10, seed=3, jobs=jobs) == estimate_density(
+            g, K3, 8, trials=10, seed=3
+        )
+        estimate_copy_count(C4, K3, 40, 0.3, trials=3, seed=1, jobs=jobs)
+        assert FakePool.made == []
 
 
 def _numpy_mask(n, k, seed):

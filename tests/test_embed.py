@@ -22,6 +22,7 @@ from ramseykit.embed import (
     enumerate_copies_with_witness,
     enumerate_embeddings,
     find_embedding,
+    subset_hits,
 )
 from ramseykit.errors import InvalidVertex
 from ramseykit.graphs import (
@@ -148,6 +149,55 @@ class TestContainsCopy:
         monkeypatch.setattr(embed, "Embedding", forbidden)
         assert contains_copy(complete_graph(3), complete_graph(5), within=0b10110)
         assert not contains_copy(complete_graph(4), complete_graph(5), within=0b10110)
+
+
+class TestSubsetHits:
+    def count_searches(self, monkeypatch):
+        searches = []
+        real = embed._assignments
+
+        def counting(*args, **kwargs):
+            searches.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(embed, "_assignments", counting)
+        return searches
+
+    def test_named(self):
+        k3, host = complete_graph(3), complete_graph(6)
+        masks = [0b111, 0b100001, 0, 0b111000, 0b100011, 0b111111]
+        assert list(subset_hits(k3, host, masks)) == [True, False, False, True, True, True]
+        assert list(subset_hits(empty_graph(0), host, [0, 0b1])) == [True, True]
+        assert list(subset_hits(k3, host, [])) == []
+
+    def test_mask_outside_host_raises(self):
+        host = complete_graph(4)
+        for mask in (1 << 4, 0b11111, -1):
+            with pytest.raises(InvalidVertex):
+                list(subset_hits(complete_graph(2), host, [0b11, mask]))
+
+    def test_found_copy_answers_later_masks(self, monkeypatch):
+        searches = self.count_searches(monkeypatch)
+        host = disjoint_union(complete_graph(3), complete_graph(3))
+        masks = [0b111, 0b1111, 0b110111, 0b111000, 0b111111, 0b011011]
+        assert list(subset_hits(complete_graph(3), host, masks)) == [
+            True, True, True, True, True, False
+        ]
+        # one search finds each triangle; only the miss searches again
+        assert searches == [0b111, 0b111000, 0b011011]
+
+    def test_memo_is_capped_and_move_to_front(self, monkeypatch):
+        cap = embed.MEMO_COPIES
+        host = empty_graph(0)
+        for _ in range(cap + 1):
+            host = disjoint_union(host, complete_graph(3))
+        tri = [0b111 << 3 * i for i in range(cap + 1)]
+        searches = self.count_searches(monkeypatch)
+        # the cap copies fill the memo; a memo hit on tri[0] moves it to the
+        # front, so the next new copy evicts tri[1], not tri[0]
+        masks = tri[:cap] + [tri[0], tri[cap], tri[0], tri[1]]
+        assert all(subset_hits(complete_graph(3), host, masks))
+        assert searches == tri[:cap] + [tri[cap], tri[1]]
 
 
 class TestCountConsistency:
@@ -280,6 +330,16 @@ def test_contains_copy_is_find_first(case):
     assert found == (find_embedding(pattern, host, within=mask) is not None)
     sub, _ = induced_subgraph(host, [v for v in range(host.n) if mask >> v & 1])
     assert found == bool(copies_oracle(pattern, sub))
+
+
+@settings(max_examples=100, deadline=None)
+@given(host_mask_and_pin(), st.data())
+def test_subset_hits_is_contains_copy_per_mask(case, data):
+    pattern, host, mask, _ = case
+    masks = [mask] + data.draw(st.lists(st.integers(0, (1 << host.n) - 1), max_size=30))
+    assert list(subset_hits(pattern, host, masks)) == [
+        contains_copy(pattern, host, within=mask) for mask in masks
+    ]
 
 
 def first_of_each_copy(stream):

@@ -1,5 +1,9 @@
+import math
+from itertools import combinations
+
 import pytest
 
+from ramseykit import embed
 from ramseykit.certify import verify_coloring
 from ramseykit.errors import ParamOutOfRange, SubsetSpaceTooLarge, UnsupportedPattern
 from ramseykit.graphs import (
@@ -10,6 +14,7 @@ from ramseykit.graphs import (
     empty_graph,
     path_graph,
 )
+from ramseykit.embed import contains_copy
 from ramseykit.ramsey import DECIDED, UNKNOWN, copy_hypergraph, is_eps_dense, is_ramsey
 
 from helpers import ramsey_oracle, random_graphs
@@ -152,6 +157,28 @@ class TestEpsDense:
         a = is_eps_dense(g, complete_graph(3), 0.4, mode="sampled", trials=100, seed=9)
         b = is_eps_dense(g, complete_graph(3), 0.4, mode="sampled", trials=100, seed=9)
         assert (a.fraction, a.hits) == (b.fraction, b.hits)
+
+    def test_exact_matches_brute_force(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exact mode built an Embedding")
+
+        monkeypatch.setattr(embed, "Embedding", forbidden)
+        outcomes = set()
+        for n, seed in ((7, 31), (9, 32), (11, 33)):
+            for g in random_graphs(n, 12, seed=seed):
+                for pattern in (complete_graph(2), complete_graph(3), path_graph(3), cycle_graph(4)):
+                    for eps in (0.3, 0.5, 0.75, 1.0):
+                        size = math.floor(eps * n)
+                        expected = (True, math.comb(n, size), math.comb(n, size), None)
+                        for tried, subset in enumerate(combinations(range(n), size), 1):
+                            if not contains_copy(pattern, g, within=sum(1 << v for v in subset)):
+                                expected = (False, 0, tried, subset)
+                                break
+                        res = is_eps_dense(g, pattern, eps)
+                        assert (res.dense, res.hits, res.trials, res.witness_subset) == expected
+                        outcomes.add((expected[0], expected[2] > 1))
+        # dense graphs, misses at the first subset and misses further on
+        assert {(True, True), (False, False), (False, True)} <= outcomes
 
     def test_density_implies_ramsey(self):
         # whenever the exact density check passes at 1/r, the Ramsey
