@@ -23,7 +23,7 @@ pair and cached.  A caller-supplied decomposition builds its plan uncached."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 
 from .degeneracy import ForestDecomposition, forest_decomposition
@@ -90,17 +90,7 @@ class Certificate:
             "target_n": self.target_n,
             "pieces": self.pieces,
             "verified": self.verified,
-            "levels": [
-                {
-                    "depth": s.depth,
-                    "case": s.case,
-                    "host_size": s.host_size,
-                    "pieces": s.pieces,
-                    "u_size": s.u_size,
-                    "colors_here": s.colors_here,
-                }
-                for s in self.levels
-            ],
+            "levels": [asdict(s) for s in self.levels],
         }
         if self.embedding is not None:
             doc["embedding"] = [[k, self.embedding[k]] for k in sorted(self.embedding)]

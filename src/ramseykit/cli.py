@@ -110,14 +110,10 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _part(part) -> dict:
-    return {"vertices": list(part.vertices), "edges": [list(e) for e in part.edges]}
-
-
 def _blocks(args, graph) -> tuple[dict, str]:
     dec = block_decomposition(graph)
     result = {
-        "blocks": [_part(b) for b in dec.blocks],
+        "blocks": dec.blocks,
         "cut_vertices": sorted(dec.cut_vertices),
         "tree": sorted([i, v] for i, v in dec.tree_edges),
         "isolated_vertices": sorted(dec.isolated_vertices),
@@ -129,7 +125,7 @@ def _degenerate(args, graph, pattern) -> tuple[dict, str]:
     check = is_degenerate(graph, pattern)
     result = {"degenerate": check.degenerate}
     if check.offending_block is not None:
-        result["offending_block"] = _part(check.offending_block)
+        result["offending_block"] = check.offending_block
     return result, "ok"
 
 
@@ -141,8 +137,8 @@ def _forest(args, graph, pattern) -> tuple[dict, str]:
         "decomposition": {
             "size": dec.size,
             "minimal": dec.minimal,
-            "pieces": [_part(p) for p in dec.pieces],
-            "attachments": list(dec.attachments),
+            "pieces": dec.pieces,
+            "attachments": dec.attachments,
         }
     }
     return result, "ok"
@@ -164,20 +160,10 @@ def _ramsey(args, graph, pattern) -> tuple[dict, str]:
     return result, "unknown" if dec.status == ramsey.UNKNOWN else "ok"
 
 
-def _dense(args, graph, pattern) -> tuple[dict, str]:
-    res = ramsey.is_eps_dense(
+def _dense(args, graph, pattern) -> tuple[ramsey.DensityResult, str]:
+    return ramsey.is_eps_dense(
         graph, pattern, args.eps, mode=args.mode, trials=args.trials, seed=args.seed
-    )
-    result = {
-        "mode": res.mode,
-        "dense": res.dense,
-        "fraction": res.fraction,
-        "hits": res.hits,
-        "trials": res.trials,
-        "subset_size": res.subset_size,
-        "witness_subset": list(res.witness_subset) if res.witness_subset else None,
-    }
-    return result, "ok"
+    ), "ok"
 
 
 def _construct(args, pattern, family) -> tuple[dict, str]:
@@ -194,29 +180,21 @@ def _construct(args, pattern, family) -> tuple[dict, str]:
     return {"graph6": write_graph6(final), "report": rep.to_json_dict()}, "ok"
 
 
-def _covers(args, graph, pattern) -> tuple[dict, str]:
-    return construction.verify_cover_inequality(graph, pattern).to_json_dict(), "ok"
+def _covers(args, graph, pattern) -> tuple[construction.CoverReport, str]:
+    return construction.verify_cover_inequality(graph, pattern), "ok"
 
 
-def _count(args, graph, pattern) -> tuple[dict, str]:
-    stats = construction.estimate_copy_count(
+def _count(args, graph, pattern) -> tuple[construction.CopyCountStats, str]:
+    return construction.estimate_copy_count(
         graph, pattern, args.n, args.eps, trials=args.trials, seed=args.seed,
         jobs=args.jobs, copy_limit=args.budget,
-    )
-    return stats.to_json_dict(), "ok"
+    ), "ok"
 
 
-def _estimate_density(args, graph, pattern) -> tuple[dict, str]:
-    est = construction.estimate_density(
+def _estimate_density(args, graph, pattern) -> tuple[construction.DensityEstimate, str]:
+    return construction.estimate_density(
         graph, pattern, args.n, trials=args.trials, seed=args.seed, jobs=args.jobs
-    )
-    result = {
-        "fraction": est.fraction,
-        "hits": est.hits,
-        "trials": est.trials,
-        "subset_size": est.subset_size,
-    }
-    return result, "ok"
+    ), "ok"
 
 
 # command -> (handler, arguments its document echoes in "inputs" beside

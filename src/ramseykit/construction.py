@@ -54,6 +54,11 @@ MAX_COVER_EDGES = 12
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
 
+def _check_eps(eps: float) -> None:
+    if not 0 < eps < math.inf:  # also false for NaN
+        raise ParamOutOfRange("eps must be a positive finite number")
+
+
 @dataclass(frozen=True)
 class ConstructionParams:
     n: int
@@ -84,8 +89,9 @@ class ConstructionParams:
             raise ParamOutOfRange("n must be positive")
         if a < 2:
             raise ParamOutOfRange("pattern needs at least two vertices")
-        if eps <= 0:
-            raise ParamOutOfRange("eps must be positive")
+        _check_eps(eps)
+        if not 0 <= deletion_multiplier < math.inf:
+            raise ParamOutOfRange("deletion multiplier must be a nonnegative finite number")
         delta0 = eps / (2 * (a - 1))
         delta = delta0 / 2
         subset_size = math.floor(n ** (1 - delta0))
@@ -118,9 +124,6 @@ class ConstructionParams:
             p_clamped=clamped,
             eps_within_claim_bound=eps_ok,
         )
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -212,18 +215,6 @@ class TraceCover:
     sum_v: int
     size: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "traces": [
-                {"vertices": list(t.vertices), "edges": [list(e) for e in t.edges]}
-                for t in self.traces
-            ],
-            "v_sizes": self.v_sizes,
-            "overlap_sizes": self.overlap_sizes,
-            "sum_v": self.sum_v,
-            "size": self.size,
-        }
-
 
 def _candidate_traces(core: Graph, pattern: Graph) -> tuple[list[int], list[Trace]]:
     """Edge bitmasks (over core.sorted_edges()) and traces of the core's
@@ -312,18 +303,6 @@ class CoverReport:
     equality_cases: int
     all_covers_overlap_ge2: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "core_n": self.core_n,
-            "covers_total": self.covers_total,
-            "covers_in_scope": self.covers_in_scope,
-            "violations": [c.to_json_dict() for c in self.violations],
-            "min_slack": self.min_slack,
-            "min_cover": self.min_cover.to_json_dict() if self.min_cover else None,
-            "equality_cases": self.equality_cases,
-            "all_covers_overlap_ge2": self.all_covers_overlap_ge2,
-        }
-
 
 def verify_cover_inequality(core: Graph, pattern: Graph) -> CoverReport:
     """Check sum(v_i) >= core order + cover size over every in-scope
@@ -386,7 +365,7 @@ class ConstructionReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "params": self.params.to_json_dict(),
+            "params": asdict(self.params),
             "cores": self.cores,
             "core_copy_counts": self.core_copy_counts,
             "sampled_copies": self.sampled_copies,
@@ -506,9 +485,6 @@ class CopyCountStats:
     cover_size_max: int | None
     exponent_dominant: float | None
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def _density_chunk(args) -> int:
     g, pattern, masks = args
@@ -579,6 +555,7 @@ def estimate_copy_count(
     of the copy-union graph, with the exhaustive cover-exponent bounds."""
     if n < 0 or trials < 0:
         raise ParamOutOfRange("n and trials must be nonnegative")
+    _check_eps(eps)
     tasks = [
         (core, pattern, n, eps, (seed ^ t) & _SEED_MASK, copy_limit, p_override)
         for t in range(trials)

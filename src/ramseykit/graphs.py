@@ -135,25 +135,17 @@ def _g6_decode_n(s: str) -> tuple[int, int]:
         raise MalformedInput(f"bad graph6 header byte {c0}")
     if s[0] != "~":
         return c0 - 63, 1
-    if len(s) >= 2 and s[1] != "~":
-        if len(s) < 4:
-            raise MalformedInput("truncated long-form vertex count")
-        n = 0
-        for ch in s[1:4]:
-            o = ord(ch)
-            if not 63 <= o <= 126:
-                raise MalformedInput(f"bad graph6 byte {o}")
-            n = (n << 6) | (o - 63)
-        return n, 4
-    if len(s) < 8:
-        raise MalformedInput("truncated extra-long-form vertex count")
+    # "~" then 3 count characters, or "~~" then 6
+    start, end, form = (2, 8, "extra-long") if s[1:2] == "~" else (1, 4, "long")
+    if len(s) < end:
+        raise MalformedInput(f"truncated {form}-form vertex count")
     n = 0
-    for ch in s[2:8]:
+    for ch in s[start:end]:
         o = ord(ch)
         if not 63 <= o <= 126:
             raise MalformedInput(f"bad graph6 byte {o}")
         n = (n << 6) | (o - 63)
-    return n, 8
+    return n, end
 
 
 def parse_graph6(text: str) -> Graph:

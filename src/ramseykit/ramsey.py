@@ -144,7 +144,9 @@ def is_eps_dense(
 ) -> DensityResult:
     """Does every induced subgraph on floor(eps * n) vertices contain a
     pattern copy?  Exact over all subsets, or estimated on uniform samples;
-    both modes answer the subsets with embed.subset_hits.
+    both modes answer the subsets with embed.subset_hits.  In both, hits
+    counts the subsets tried that held a copy and fraction is hits / trials;
+    exact mode stops at the first subset without one (witness_subset).
     """
     if not 0 < eps <= 1:
         raise ParamOutOfRange("eps must lie in (0, 1]")
@@ -161,8 +163,9 @@ def is_eps_dense(
         masks = map(sum, combinations([1 << v for v in range(n)], size))
         hits = subset_hits(pattern, g, masks)
         for tried, (subset, hit) in enumerate(zip(combinations(range(n), size), hits), 1):
-            if not hit:
-                return DensityResult("exact", False, 0.0, 0, tried, size, subset)
+            if not hit:  # every subset before this one held a copy
+                held = tried - 1
+                return DensityResult("exact", False, held / tried, held, tried, size, subset)
         return DensityResult("exact", True, 1.0, total, total, size)
     if mode != "sampled":
         raise ParamOutOfRange(f"unknown mode {mode!r}")

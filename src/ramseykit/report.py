@@ -2,22 +2,38 @@
 
 Identical inputs must yield byte-identical documents: keys are sorted,
 layout is fixed, and every randomized quantity is seed-derived.
+envelope is the one place a result becomes a document, so handlers return
+result dataclasses as they are; only documents shaped unlike their type
+(renamed, derived or sorted keys) are built by hand, as plain dicts.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 
 SCHEMA = "ramseykit.report/1"
 
 
-def envelope(command: str, inputs: dict, result: dict, status: str = "ok") -> dict:
+def _plain(value):
+    """value with dataclasses as dicts of their fields and tuples as lists,
+    at any depth.  Sets are left alone: a handler sorts them."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(x) for x in value]
+    return value
+
+
+def envelope(command: str, inputs: dict, result: object, status: str = "ok") -> dict:
     return {
         "schema": SCHEMA,
         "command": command,
         "status": status,
         "inputs": inputs,
-        "result": result,
+        "result": _plain(result),
     }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,9 +10,11 @@ import pytest
 import ramseykit
 
 from ramseykit import ramsey
+from ramseykit.blocks import Block
 from ramseykit.cli import _build_parser, run
 from ramseykit.errors import EnumerationTruncated
 from ramseykit.graphs import complete_graph, cycle_graph, write_graph6
+from ramseykit.report import _plain
 
 from helpers import bowtie
 
@@ -215,6 +218,25 @@ class TestInputHandling:
         assert run(argv + ["--budget", "-1"]) == (1, "")
         assert capsys.readouterr().err == "error: --budget must be nonnegative\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--pattern", K3_G6, "--family", K4_G6, "-n", "60", "--eps", "nan"],
+        ["count", "--graph", C4_G6, "--pattern", K3_G6, "-n", "40", "--eps", "nan",
+         "--trials", "2"],
+        ["count", "--graph", C4_G6, "--pattern", K3_G6, "-n", "40", "--eps", "nan",
+         "--trials", "0"],
+        ["count", "--graph", C4_G6, "--pattern", K3_G6, "-n", "40", "--eps", "-1",
+         "--trials", "0"],
+        ["construct", "--pattern", K3_G6, "--family", K4_G6, "-n", "60", "--eps", "0.3",
+         "--deletion-multiplier", "nan"],
+        ["construct", "--pattern", K3_G6, "--family", K4_G6, "-n", "60", "--eps", "0.3",
+         "--deletion-multiplier", "-1"],
+    ], ids=["construct-eps-nan", "count-eps-nan", "count-eps-nan-no-trials",
+            "count-eps-negative-no-trials", "construct-multiplier-nan",
+            "construct-multiplier-negative"])
+    def test_non_finite_or_out_of_range_float_exit_1(self, argv, capsys):
+        assert run(argv) == (1, "")
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     @pytest.mark.parametrize("argv", [
         ["count", "--graph", C4_G6, "--pattern", K3_G6, "-n", "40", "--eps", "0.3",
@@ -288,3 +310,70 @@ def test_one_parser_serves_many_runs():
     assert _build_parser() is _build_parser()
     assert [code for code, _ in in_process] == [0, 0, 1, 0]
     assert in_process == [fresh_run(argv) for argv in argvs]
+
+
+# SHA-256 of f"{exit code}\n{stdout}" for one small input per subcommand,
+# recorded before report.envelope serialised result objects itself; the
+# dense input is dense, so an exact-mode miss's hits are not involved
+PINNED_DOCUMENTS = [
+    (["blocks", "--graph", "DxK"],
+     "545d63bff86e38e83189ca70b24c383015db31489ba5e26a3c958e084090646e",
+     "e8acb48fb75fd1a805571706871f83220c1ee8c6f9be22ab9c71e088e92ea16a"),
+    (["degenerate", "--graph", "C~", "--pattern", "Bw"],
+     "d0a4ce5bd183c3945267eaf54e73c53d00c093773a30e04860e3ca7e4db118a2",
+     "bf69f37cc9c9072282303ffd50c80486e300a124a77ec986643788b3dad50932"),
+    (["forest", "--graph", "DxK", "--pattern", "Bw"],
+     "e4081bf1d82b138a4afba2b7c0b119d7881bab24d2b3365290133979d3c9f33a",
+     "2e895515a077dc9617c9f553b40d7f1935f2d31889199abcd3c18581b7b0bf5e"),
+    (["color", "--graph", "C~", "--pattern", "Bw", "--forest", "DxK"],
+     "e7464821c5ee973fb07c5d2508fe6915cb0c8e0d4a170b276b27e58fc01a89e6",
+     "c6beb67a1d7dad7381b472fb2392149c8e21e0c54e2c27db06456c52f89f2d20"),
+    (["ramsey", "--graph", "DxK", "--pattern", "Bw", "-r", "2"],
+     "ce2a64a5cc6897bc61ddc0f5a4fdac3f42cb59a208fbb46705da7acf9bc9da10",
+     "e7b52e90b98b6ae0b8df51a2950660b3d6062c224b2de9a7fef6b16a493d26d6"),
+    (["dense", "--graph", "D~{", "--pattern", "A_", "--eps", "0.6", "--mode", "exact"],
+     "e964b7e7af7a2820836253a2142769f69ac4559b659593aca18c727d58c03c06",
+     "2aeb6915dbf464deb9484b63489bf49904a8e0bfc2b9ef99296067161930fbec"),
+    (["construct", "-n", "40", "--eps", "0.3", "--pattern", "Bw", "--family", "C~",
+      "--trials", "50"],
+     "d2c04d1ed39950e699a3ec578a1de8bb5ec41b44601a1eca8970df73b81071d4",
+     "9175522aa9358bbc0a795eef7e340e5a0fedd1318fe279eddcef0036b205ce51"),
+    (["covers", "--graph", "Cl", "--pattern", "Bg"],
+     "753d04094e9de020d8837fa582eccbff0dde8084e84d34f48e5e08b9b9736713",
+     "cee71e0fbb9f8ac390abeadbd7cca6cba705dcfe36707a470c9a2f08e91255ea"),
+    (["count", "--graph", "Cl", "--pattern", "Bw", "-n", "20", "--eps", "0.3",
+      "--trials", "3"],
+     "5defaf9808b07976e3ee36847bd426aae31de386b9c57d4a2735118eaec2014f",
+     "4d294f0c6472b4be749f63a7d648ae624efdab53d5266838a6b63292756db8b4"),
+    (["estimate-density", "--graph", "KhCGGC@?G?o@", "--pattern", "Bg", "-n", "6",
+      "--trials", "50", "--seed", "3"],
+     "6dc887fcf1d1d6235645bc0d6240ec023b832d5e5bba45c898fce6c79cb19f81",
+     "d419781d4f34353d3d195abd9b399ac1a96c9934b9a2f985d5e682289e41fa03"),
+    # a budget that runs out: exit 2
+    (["color", "--graph", "C~", "--pattern", "Bw", "--forest", "DxK", "--budget", "1"],
+     "e34a51c75cdff342026a05502d5cfffe34e023e64d6724c9b3089dbb5061f1ee",
+     "5720f8589e5507ddbc590c03b1937b6b2b48681f1d0225956a471602816fd84c"),
+]
+
+
+@pytest.mark.parametrize("argv, json_sha, text_sha", PINNED_DOCUMENTS,
+                         ids=[argv[0] + ("-budget" if "--budget" in argv else "")
+                              for argv, _, _ in PINNED_DOCUMENTS])
+def test_whole_documents_are_pinned(argv, json_sha, text_sha):
+    for fmt, sha in (("json", json_sha), ("text", text_sha)):
+        code, text = run(argv + ["--format", fmt])
+        assert hashlib.sha256(f"{code}\n{text}".encode()).hexdigest() == sha, fmt
+
+
+def test_plain_turns_dataclasses_into_dicts_and_tuples_into_lists():
+    block = Block((0, 1), ((0, 1),))
+    plain_block = {"vertices": [0, 1], "edges": [[0, 1]]}
+    value = {"one": block, "many": [block, None], "pair": (1, "a"), "x": 2.5, "none": None}
+    assert _plain(value) == {
+        "one": plain_block,
+        "many": [plain_block, None],
+        "pair": [1, "a"],
+        "x": 2.5,
+        "none": None,
+    }
+    assert _plain(None) is None and _plain("s") == "s" and _plain(True) is True

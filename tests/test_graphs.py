@@ -109,6 +109,21 @@ class TestGraph6:
         with pytest.raises(MalformedInput, match="truncated"):
             parse_graph6("~~???~??")
 
+    @pytest.mark.parametrize("s", ["~", "~?", "~??"])
+    def test_truncated_long_form_header(self, s):
+        with pytest.raises(MalformedInput, match="^truncated long-form vertex count$"):
+            parse_graph6(s)
+
+    @pytest.mark.parametrize("s", ["~~", "~~?????"])
+    def test_truncated_extra_long_form_header(self, s):
+        with pytest.raises(MalformedInput, match="^truncated extra-long-form vertex count$"):
+            parse_graph6(s)
+
+    @pytest.mark.parametrize("s, code", [("~?>?", 62), ("~~???!??", 33)])
+    def test_bad_byte_in_a_long_header(self, s, code):
+        with pytest.raises(MalformedInput, match=f"^bad graph6 byte {code}$"):
+            parse_graph6(s)
+
     @pytest.mark.parametrize("n", [63, 64, 200, 258, 300])
     def test_long_form_against_reference_encoder(self, n):
         for g in random_graphs(n, 3, seed=n):

@@ -172,10 +172,11 @@ class TestEpsDense:
                         expected = (True, math.comb(n, size), math.comb(n, size), None)
                         for tried, subset in enumerate(combinations(range(n), size), 1):
                             if not contains_copy(pattern, g, within=sum(1 << v for v in subset)):
-                                expected = (False, 0, tried, subset)
+                                expected = (False, tried - 1, tried, subset)
                                 break
                         res = is_eps_dense(g, pattern, eps)
                         assert (res.dense, res.hits, res.trials, res.witness_subset) == expected
+                        assert res.fraction == res.hits / res.trials
                         outcomes.add((expected[0], expected[2] > 1))
         # dense graphs, misses at the first subset and misses further on
         assert {(True, True), (False, False), (False, True)} <= outcomes
