@@ -267,8 +267,7 @@ def _solve(
             copies, truncated = enumerate_copies_with_witness(
                 pattern, host, pin=(role, v), limit=copy_limit, within=u_mask
             )
-            if truncated:
-                raise EnumerationTruncated("pinned enumeration truncated inside U")
+            assert not truncated, "U lies in active, whose copies at v fit the limit"
             union: set[int] = {v}
             for copy, _ in copies:
                 if copy.vertices & union == {v}:

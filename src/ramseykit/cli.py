@@ -16,7 +16,7 @@ from . import certify, construction, ramsey
 from .blocks import block_decomposition
 from .degeneracy import DEFAULT_NODE_BUDGET, forest_decomposition, is_degenerate
 from .embed import DEFAULT_COPY_LIMIT
-from .errors import EnumerationTruncated, ParamOutOfRange, RamseykitError
+from .errors import EnumerationTruncated, MalformedInput, ParamOutOfRange, RamseykitError
 from .graphs import Graph, parse_edge_list, parse_graph6, write_graph6
 from .report import envelope, to_json, to_text
 
@@ -32,7 +32,10 @@ def _load_graph(spec: str) -> Graph:
     lone "@" is the graph6 of the one-vertex graph."""
     if spec.startswith("@") and len(spec) > 1:
         with open(spec[1:], "r", encoding="ascii") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise MalformedInput(f"{spec[1:]}: byte {exc.start} is not ASCII") from None
         stripped = text.lstrip()
         if stripped.startswith(">>graph6<<"):
             return parse_graph6(stripped.splitlines()[0])
@@ -242,14 +245,14 @@ def run(argv: list[str]) -> tuple[int, str]:
             result, status = handler(args, **graphs)
         except EnumerationTruncated as exc:
             result, status = {"truncated": str(exc)}, "unknown"
+        doc = envelope(args.command, inputs, result, status)
+        text = to_json(doc) if args.format == "json" else to_text(doc)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except (RamseykitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, ""
-    doc = envelope(args.command, inputs, result, status)
-    text = to_json(doc) if args.format == "json" else to_text(doc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return (2 if status == "unknown" else 0), text
 
 

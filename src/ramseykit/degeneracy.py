@@ -8,6 +8,15 @@ the earlier ones in at most one vertex.  Since no 2-connected subgraph can
 cross a single-vertex attachment, pieces are unions of whole blocks (plus
 isolated vertices), which makes exact minimization of the number of
 pieces a partition search over the block-cut structure.
+
+Pieces can be so ordered exactly when the bipartite (piece, shared vertex)
+incidence is a forest.  The order is then built greedily: each step places
+the least piece that meets the placed ones in exactly one vertex, or in
+none when no piece of its incidence component is placed yet.  A prefix
+extends to a full order exactly when the placed pieces of each component
+stay connected: a piece next to them meets them in one vertex, as a
+second would close a cycle, and a piece joining two separate placed parts
+would, placed last on the path between them, meet two.
 """
 
 from __future__ import annotations
@@ -86,66 +95,49 @@ def _atoms(graph: Graph) -> list[tuple[frozenset[int], frozenset[Edge]]]:
     return atoms
 
 
-def _incidence_is_forest(group_vsets: list[frozenset[int]]) -> bool:
-    """Acyclicity of the bipartite (group, shared vertex) incidence.
+def _components(group_vsets: list[frozenset[int]]) -> list[int] | None:
+    """A component label per group in the bipartite (group, shared vertex)
+    incidence, or None when it has a cycle.  Union-find over group indices:
+    each group holding a vertex joins the first group that held it, and a
+    join of two groups already connected closes a cycle."""
+    parent = list(range(len(group_vsets)))
 
-    An ordering with single-vertex attachments exists iff this holds.
-    """
-    owners: dict[int, list[int]] = {}
-    for gi, vs in enumerate(group_vsets):
-        for v in vs:
-            owners.setdefault(v, []).append(gi)
-    parent: dict = {}
-
-    def find(x):
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for gi in range(len(group_vsets)):
-        parent[("g", gi)] = ("g", gi)
-    for v, gs in owners.items():
-        if len(gs) < 2:
-            continue
-        parent[("v", v)] = ("v", v)
-        for gi in gs:
-            ra, rb = find(("v", v)), find(("g", gi))
-            if ra == rb:
-                return False
-            parent[ra] = rb
-    return True
+    first: dict[int, int] = {}
+    for gi, vs in enumerate(group_vsets):
+        for v in vs:
+            held = first.setdefault(v, gi)
+            if held != gi:
+                a, b = find(held), find(gi)
+                if a == b:
+                    return None
+                parent[b] = a
+    return [find(gi) for gi in range(len(group_vsets))]
 
 
 def _order_groups(group_vsets: list[frozenset[int]]) -> list[int] | None:
-    """Lexicographically smallest valid piece order, or None."""
-    k = len(group_vsets)
-    keys = [tuple(sorted(vs)) for vs in group_vsets]
-    by_key = sorted(range(k), key=lambda i: keys[i])
-    used = [False] * k
+    """Lexicographically smallest valid piece order, or None; one greedy
+    pass by the rule in the module docstring."""
+    comp = _components(group_vsets)
+    if comp is None:
+        return None
+    by_key = sorted(range(len(group_vsets)), key=lambda i: sorted(group_vsets[i]))
     order: list[int] = []
     covered: set[int] = set()
-    placed: list[tuple[int, frozenset[int]]] = []  # (position in by_key, vertices added)
-    resume = 0
-    while len(order) < k:
-        for pos in range(resume, k):
-            i = by_key[pos]
-            if not used[i] and len(group_vsets[i] & covered) <= 1:
+    started: set[int] = set()
+    while by_key:
+        for pos, i in enumerate(by_key):
+            meet = len(group_vsets[i] & covered)
+            if meet == 1 or (meet == 0 and comp[i] not in started):
                 break
-        else:
-            if not order:
-                return None
-            used[order.pop()] = False
-            pos, added = placed.pop()
-            covered -= added
-            resume = pos + 1
-            continue
-        used[i] = True
-        order.append(i)
-        added = group_vsets[i] - covered
-        covered.update(added)
-        placed.append((pos, added))
-        resume = 0
+        order.append(by_key.pop(pos))
+        covered |= group_vsets[i]
+        started.add(comp[i])
     return order
 
 
@@ -164,7 +156,8 @@ def forest_decomposition(
     budget never gives a larger decomposition.  If the budget runs out the
     best decomposition found so far (one piece per block or isolated
     vertex if none was) is returned; minimal is True exactly when the
-    search finished.
+    search finished.  The budget bounds the whole run apart from one
+    polynomial ordering pass per partition offered.
     """
     atoms = _atoms(graph)
     n_atoms = len(atoms)
@@ -239,9 +232,9 @@ def forest_decomposition(
             if gi == len(groups):
                 groups.append(frozenset())
             groups[gi] |= {i}
-            ok = group_embeds(groups[gi]) and _incidence_is_forest(
+            ok = group_embeds(groups[gi]) and _components(
                 [memo[grp][0] for grp in groups]
-            )
+            ) is not None
 
     minimal = search()
     if best is None:

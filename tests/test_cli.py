@@ -278,6 +278,18 @@ class TestInputHandling:
         assert code == 0
         assert out.read_text() == text
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_exit_1(self, tmp_path, where, capsys):
+        out = tmp_path / "missing" / "doc.json" if where == "missing-directory" else tmp_path
+        assert run(["blocks", "--graph", K3_G6, "--out", str(out)]) == (1, "")
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_ascii_graph_file_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "g.edges"
+        path.write_bytes(b"\xff\xfe0 1\n")
+        assert run(["blocks", "--graph", f"@{path}"]) == (1, "")
+        assert capsys.readouterr().err == f"error: {path}: byte 0 is not ASCII\n"
+
     def test_text_format(self):
         code, text = run(["blocks", "--graph", K3_G6, "--format", "text"])
         assert code == 0

@@ -1,9 +1,18 @@
+import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ramseykit
+
 from ramseykit.degeneracy import (
+    ForestDecomposition,
+    Piece,
+    _components,
     _order_groups,
     extract_core,
     forest_decomposition,
@@ -321,6 +330,60 @@ def test_order_groups_matches_recursive_form():
         assert _order_groups(groups) == expected
         orderable += expected is not None
     assert 300 < orderable < 2700
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_order_groups_matches_recursive_form_on_shuffled_chains(k):
+    # the recursive form backtracks through many dead ends on chains, so k
+    # stays at 10 or below
+    rng = random.Random(k)
+    for _ in range(5):
+        labels = rng.sample(range(3 * k), k + 1)
+        groups = [frozenset(labels[j:j + 2]) for j in range(k)]
+        rng.shuffle(groups)
+        order = _order_groups(groups)
+        assert order is not None
+        assert order == _recursive_order_groups(groups)
+
+
+class TestComponents:
+    def test_two_shared_vertices_close_a_cycle(self):
+        assert _components([frozenset({0, 1}), frozenset({0, 1, 2})]) is None
+
+    def test_triangle_of_shared_vertices_is_a_cycle(self):
+        groups = [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 0})]
+        assert _components(groups) is None
+
+    def test_disjoint_groups_get_distinct_labels(self):
+        labels = _components([frozenset({0, 1}), frozenset({2}), frozenset({3, 4})])
+        assert len(set(labels)) == 3
+
+    def test_groups_sharing_a_vertex_share_a_label(self):
+        labels = _components([frozenset({0, 1}), frozenset({5}), frozenset({1, 2})])
+        assert labels[0] == labels[2] != labels[1]
+
+
+SHUFFLED_PATH_17 = "P?G?aA?_?G?O?PCG?A?G@W??"  # a 17-vertex path, labels shuffled
+
+
+def test_forest_orders_a_shuffled_path_in_bounded_time():
+    # a backtracking piece order takes exponential time on this path
+    src = str(Path(ramseykit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "ramseykit", "forest", "--graph", SHUFFLED_PATH_17,
+         "--pattern", "A_", "--budget", "0"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)["result"]["decomposition"]
+    pieces = [Piece(tuple(p["vertices"]), tuple(map(tuple, p["edges"]))) for p in doc["pieces"]]
+    # every piece is one edge u-v, mapped onto the pattern edge 0-1
+    embeddings = [dict(zip(p.vertices, (0, 1))) for p in pieces]
+    dec = ForestDecomposition(pieces, doc["attachments"], embeddings, doc["size"], doc["minimal"])
+    check_decomposition(parse_graph6(SHUFFLED_PATH_17), complete_graph(2), dec)
+    assert dec.size == len(pieces) == 16
 
 
 class TestExtractCore:
