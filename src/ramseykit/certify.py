@@ -19,7 +19,8 @@ target, so such an embedding would extend to one of the whole target.
 
 The decomposition, and each level's role, b and palette arithmetic,
 depend only on (target, pattern): they form a target plan, built once per
-pair and cached.  A caller-supplied decomposition builds its plan uncached."""
+pair and cached.  A caller-supplied decomposition is checked against the
+target and pattern, then builds its plan uncached."""
 
 from __future__ import annotations
 
@@ -102,6 +103,45 @@ class Certificate:
         return doc
 
 
+def _pinned_copies(
+    g: Graph, pattern: Graph, role: int, v: int, limit: int | None, within: int | None
+) -> tuple[list[tuple[Copy, Embedding]], list[int]]:
+    """The pattern copies with v in the given role inside the vertex mask
+    `within`, in key order, as (copy, embedding) pairs and as vertex masks
+    without v; raises EnumerationTruncated past `limit` copies."""
+    pairs, truncated = enumerate_copies_with_witness(
+        pattern, g, pin=(role, v), limit=limit, within=within
+    )
+    if truncated:
+        raise EnumerationTruncated(
+            f"pinned copy enumeration at vertex {v} exceeded {limit} copies"
+        )
+    return pairs, [sum(1 << w for w in copy.vertices if w != v) for copy, _ in pairs]
+
+
+def _pack(masks: list[int], t: int) -> list[int] | None:
+    """Indices of the first t pairwise disjoint masks in depth-first order
+    over the list, or None when there are no t such masks: take the next
+    mask disjoint from the chosen ones while enough masks are left to reach
+    t, else drop the last choice and resume after it."""
+    chosen: list[int] = []
+    used = 0
+    start = 0
+    while len(chosen) < t:
+        for j in range(start, len(masks) - t + len(chosen) + 1):
+            if not masks[j] & used:
+                chosen.append(j)
+                used |= masks[j]
+                break
+        else:
+            if not chosen:
+                return None
+            j = chosen.pop()
+            used ^= masks[j]
+        start = j + 1
+    return chosen
+
+
 def star_family_at_least(
     g: Graph,
     pattern: Graph,
@@ -117,46 +157,12 @@ def star_family_at_least(
     witness family is returned on success."""
     if t < 1:
         raise ParamOutOfRange("target family size must be at least 1")
-    pairs, truncated = enumerate_copies_with_witness(
-        pattern, g, pin=(role, v), limit=limit, within=within
-    )
-    if truncated:
-        raise EnumerationTruncated(
-            f"pinned copy enumeration at vertex {v} exceeded {limit} copies"
-        )
-    masks = []
-    for copy, _ in pairs:
-        mask = 0
-        for w in copy.vertices:
-            if w != v:
-                mask |= 1 << w
-        masks.append(mask)
-
-    # depth first over copies in enumeration order: take the next copy
-    # disjoint from the chosen ones while enough copies are left to reach
-    # t, else drop the last choice and resume after it
-    chosen: list[int] = []
-    used = 0
-    start = 0
-    while len(chosen) < t:
-        for j in range(start, len(masks) - t + len(chosen) + 1):
-            if not masks[j] & used:
-                chosen.append(j)
-                used |= masks[j]
-                break
-        else:
-            if not chosen:
-                return False, None
-            j = chosen.pop()
-            used ^= masks[j]
-        start = j + 1
-    family = StarFamily(
-        center=v,
-        role=role,
-        copies=[pairs[j][0] for j in chosen],
-        embeddings=[pairs[j][1] for j in chosen],
-    )
-    return True, family
+    pairs, masks = _pinned_copies(g, pattern, role, v, limit, within)
+    chosen = _pack(masks, t)
+    if chosen is None:
+        return False, None
+    picked = [pairs[j] for j in chosen]
+    return True, StarFamily(v, role, [c for c, _ in picked], [e for _, e in picked])
 
 
 def greedy_disjoint_family(
@@ -238,51 +244,45 @@ def _solve(
 ) -> tuple[dict[int, int], list[LevelStats]]:
     """Color a host that contains no copy of the target, with no
     monochromatic pattern copy, one plan level at a time.  Each glued level
-    colors U, the active vertices without b_cur - 1 copies in the role
-    pairwise meeting only there, and leaves the rest active for the target
-    minus the detached piece; a level's colors start past the earlier
-    levels' palettes.  Returns (vertex -> color, one LevelStats per level)."""
+    enumerates every active vertex's copies in the role once, inside the
+    active vertices.  U, the vertices without b_cur - 1 of them pairwise
+    meeting only there, is colored from the same lists, filtered to the
+    copies inside U; the rest stays active for the target minus the
+    detached piece.  A level's colors start past the earlier levels'
+    palettes.  Returns (vertex -> color, one LevelStats per level)."""
     active = (1 << host.n) - 1
     colors: dict[int, int] = {}
     stats: list[LevelStats] = []
     offset = 0
     for depth, (pieces, b_cur, role, out_cap) in enumerate(levels):
         level = LevelStats(depth, "glued", active.bit_count(), pieces)
-        u_mask = sub_active = 0
+        u_lists: dict[int, list[int]] = {}
         for v in _iter_bits(active):
-            ok, _ = star_family_at_least(
-                host, pattern, role, v, b_cur - 1, limit=copy_limit, within=active
-            )
-            if ok:
-                sub_active |= 1 << v
-            else:
-                u_mask |= 1 << v
-        level.u_size = u_mask.bit_count()
+            _, masks = _pinned_copies(host, pattern, role, v, copy_limit, active)
+            if _pack(masks, b_cur - 1) is None:
+                u_lists[v] = masks
+        u_mask = sum(1 << v for v in u_lists)
+        level.u_size = len(u_lists)
 
-        # color U through the bounded-out-degree digraph
-        u_verts = list(_iter_bits(u_mask))
-        local = {v: j for j, v in enumerate(u_verts)}
+        # color U through the bounded-out-degree digraph, over the copies
+        # whose masks have no vertex outside U
+        local = {v: j for j, v in enumerate(u_lists)}
         arcs: set[tuple[int, int]] = set()
-        for v in u_verts:
-            copies, truncated = enumerate_copies_with_witness(
-                pattern, host, pin=(role, v), limit=copy_limit, within=u_mask
-            )
-            assert not truncated, "U lies in active, whose copies at v fit the limit"
-            union: set[int] = {v}
-            for copy, _ in copies:
-                if copy.vertices & union == {v}:
-                    union |= copy.vertices
-            reach = union - {v}
-            assert len(reach) <= out_cap, "out-degree bound of the auxiliary digraph"
-            for u in reach:
+        for v, masks in u_lists.items():
+            reach = 0
+            for m in masks:
+                if not m & (reach | ~u_mask):
+                    reach |= m
+            assert reach.bit_count() <= out_cap, "out-degree bound of the auxiliary digraph"
+            for u in _iter_bits(reach):
                 arcs.add((min(local[u], local[v]), max(local[u], local[v])))
-        u_coloring = degeneracy_coloring(Graph(len(u_verts), frozenset(arcs)))
+        u_coloring = degeneracy_coloring(Graph(len(local), frozenset(arcs)))
         level.colors_here = u_coloring.palette_size
         assert level.colors_here <= 2 * out_cap + 1, "degeneracy palette bound"
-        colors.update((v, offset + c) for v, c in zip(u_verts, u_coloring.colors))
+        colors.update((v, offset + c) for v, c in zip(local, u_coloring.colors))
         offset += level.colors_here
         stats.append(level)
-        active = sub_active
+        active &= ~u_mask
 
     case, pieces = final
     level = LevelStats(len(levels), case, active.bit_count(), pieces)
@@ -333,6 +333,34 @@ def _build_target_plan(target: Graph, pattern: Graph, dec: ForestDecomposition) 
     return dec.size, bound, tuple(levels), final
 
 
+def _check_decomposition(target: Graph, pattern: Graph, dec: ForestDecomposition) -> None:
+    """Refuse a supplied decomposition unless it is one of target over
+    pattern: its pieces split target's edges and cover its vertices, each
+    meets the earlier ones in at most its attachment, and each embedding
+    maps its piece injectively into pattern, edges onto edges."""
+    if not len(dec.pieces) == len(dec.attachments) == len(dec.embeddings) == dec.size:
+        raise ParamOutOfRange("decomposition size and list lengths disagree")
+    edges = [e for piece in dec.pieces for e in piece.edges]
+    if len(edges) != len(set(edges)) or set(edges) != target.edges:
+        raise ParamOutOfRange("the pieces do not split the target's edges")
+    seen: set[int] = set()
+    for piece, att, emb in zip(dec.pieces, dec.attachments, dec.embeddings):
+        if seen.intersection(piece.vertices) != ({att} if att is not None else set()):
+            raise ParamOutOfRange("a piece meets the earlier ones off its attachment")
+        seen.update(piece.vertices)
+        image = set(emb.values())
+        if (
+            sorted(emb) != sorted(piece.vertices)
+            or not {w for e in piece.edges for w in e} <= emb.keys()
+            or len(image) != len(emb)
+            or not image <= set(range(pattern.n))
+            or not all(pattern.has_edge(emb[u], emb[w]) for u, w in piece.edges)
+        ):
+            raise ParamOutOfRange("a piece's embedding does not map it into the pattern")
+    if seen != set(range(target.n)):
+        raise ParamOutOfRange("the pieces do not cover the target's vertices")
+
+
 @lru_cache(maxsize=256)
 def _target_plan(target: Graph, pattern: Graph) -> tuple | None:
     """The plan of target over its minimum forest decomposition, shared by
@@ -360,9 +388,10 @@ def embed_or_color(
 
     The embedding branch is returned exactly when host contains a copy of
     target.  Raises NotDegenerate when target has a block that does not
-    embed into pattern, and CertificateError if a certificate fails its
-    final check; truncated enumerations yield an "unknown" certificate
-    instead of a guess.
+    embed into pattern, ParamOutOfRange when a supplied decomposition is
+    not one of target over pattern, and CertificateError if a certificate
+    fails its final check; truncated enumerations yield an "unknown"
+    certificate instead of a guess.
     """
     if pattern.n < 2:
         raise ParamOutOfRange("pattern needs at least two vertices")
@@ -371,6 +400,7 @@ def embed_or_color(
     if decomposition is None:
         plan = _target_plan(target, pattern)
     else:
+        _check_decomposition(target, pattern, decomposition)
         plan = _build_target_plan(target, pattern, decomposition)
     if plan is None:
         raise NotDegenerate("target has a block that does not embed into the pattern")

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from ramseykit.graphs import (
     disjoint_union,
     empty_graph,
     induced_subgraph,
+    parse_graph6,
     path_graph,
 )
 
@@ -435,6 +437,93 @@ def test_one_target_search_and_no_induced_subgraph(monkeypatch):
             targets = [g for g in searched if g is not pattern]
             assert len(targets) == 1 and targets[0] is target
     assert branches == {EMBEDDING, COLORING}
+
+
+# six triangles sharing vertex 0, and a chain of three triangles
+FLOWER = "L{eCKA@_C?o?_@"
+CHAIN = "FxKGW"
+
+
+def test_flower_colors_u_inside_u():
+    """The first glued level keeps the flower's centre active and colors
+    the twelve petal vertices as U, over their copies inside U only."""
+    flower, chain, k3 = parse_graph6(FLOWER), parse_graph6(CHAIN), complete_graph(3)
+    for limit in (None, 6):
+        cert = embed_or_color(flower, k3, chain, copy_limit=limit)
+        assert cert.branch == COLORING
+        assert (cert.coloring.palette_size, cert.palette_bound) == (2, 63)
+        levels = [(s.case, s.host_size, s.u_size) for s in cert.levels]
+        assert levels == [("glued", 13, 12), ("glued", 1, 1), ("single-piece", 0, None)]
+        assert_certificate_sound(flower, k3, chain, cert)
+    cert = embed_or_color(flower, k3, chain, copy_limit=5)
+    assert cert.branch == UNKNOWN
+    assert cert.reason == "pinned copy enumeration at vertex 0 exceeded 5 copies"
+
+
+def test_one_pinned_enumeration_per_vertex_and_level(monkeypatch):
+    real = certify.enumerate_copies_with_witness
+    pinned = []
+
+    def counting(*args, **kwargs):
+        pinned.append(kwargs["pin"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "enumerate_copies_with_witness", counting)
+    cases = [
+        (host, pattern, target)
+        for pattern, target in ACCEPTANCE_PAIRS + [(path_graph(3), path_graph(5))]
+        for host in random_graphs(8, 12, seed=target.n)
+    ]
+    cases.append((parse_graph6(FLOWER), complete_graph(3), parse_graph6(CHAIN)))
+    glued = u_below_active = 0
+    for host, pattern, target in cases:
+        pinned.clear()
+        cert = embed_or_color(host, pattern, target)
+        levels = [s for s in cert.levels if s.case == "glued"]
+        assert len(pinned) == sum(s.host_size for s in levels)
+        glued += len(levels)
+        u_below_active += sum(s.u_size < s.host_size for s in levels)
+    assert glued and u_below_active
+
+
+def test_supplied_decomposition_of_another_target_is_refused():
+    from ramseykit.degeneracy import forest_decomposition
+
+    k2, k3 = complete_graph(2), complete_graph(3)
+    triangle_dec = forest_decomposition(k3, k3)
+    for host in (complete_graph(4), complete_graph(5)):
+        with pytest.raises(ParamOutOfRange):
+            embed_or_color(host, k3, bowtie(), decomposition=triangle_dec)
+    # the bowtie's pieces are triangles, which do not map into K2
+    bowtie_dec = forest_decomposition(bowtie(), k3)
+    with pytest.raises(ParamOutOfRange):
+        embed_or_color(complete_graph(5), k2, bowtie(), decomposition=bowtie_dec)
+
+
+def test_malformed_supplied_decomposition_is_refused():
+    from ramseykit.degeneracy import forest_decomposition
+
+    k3 = complete_graph(3)
+    dec = forest_decomposition(bowtie(), k3)
+    assert dec.attachments == [None, 2]
+    first, second = dec.pieces
+    short = dataclasses.replace(second, edges=second.edges[:2])
+    changes = [
+        {"size": 3},
+        {"attachments": [None, None]},
+        {"attachments": [None, 3]},
+        {"attachments": [0, 2]},
+        {"pieces": [first, short]},
+        {"pieces": [first, first]},
+        {"embeddings": [dec.embeddings[0], {v: 0 for v in second.vertices}]},
+        {"embeddings": [dec.embeddings[0], {2: 0, 3: 1}]},
+    ]
+    for change in changes:
+        wrong = dataclasses.replace(dec, **change)
+        with pytest.raises(ParamOutOfRange):
+            embed_or_color(complete_graph(4), k3, bowtie(), decomposition=wrong)
+    cert = embed_or_color(complete_graph(4), k3, bowtie(), decomposition=dec)
+    assert cert.branch == COLORING
 
 
 OPTIMIZED_CHECKS = """

@@ -5,7 +5,12 @@ import pytest
 
 from ramseykit import embed
 from ramseykit.certify import verify_coloring
-from ramseykit.errors import ParamOutOfRange, SubsetSpaceTooLarge, UnsupportedPattern
+from ramseykit.errors import (
+    EnumerationTruncated,
+    ParamOutOfRange,
+    SubsetSpaceTooLarge,
+    UnsupportedPattern,
+)
 from ramseykit.graphs import (
     Graph,
     complete_graph,
@@ -38,6 +43,14 @@ class TestCopyHypergraph:
         hg = copy_hypergraph(complete_graph(4), cycle_graph(4))
         assert len(hg.hyperedges) == 1
         assert len(hg.witnesses) == 1
+
+    def test_truncation_raises(self):
+        # K5 holds 10 triangles, past a limit of 3
+        message = "copy enumeration truncated building hypergraph"
+        with pytest.raises(EnumerationTruncated, match=message):
+            copy_hypergraph(complete_graph(5), complete_graph(3), limit=3)
+        with pytest.raises(EnumerationTruncated, match=message):
+            is_ramsey(complete_graph(5), complete_graph(3), 2, copy_limit=3)
 
 
 class TestIsRamsey:
