@@ -216,37 +216,52 @@ class TraceCover:
     size: int
 
 
-def _candidate_traces(core: Graph, pattern: Graph) -> tuple[list[int], list[Trace]]:
-    """Edge bitmasks (over core.sorted_edges()) and traces of the core's
-    pattern-embeddable nonempty edge subsets, in increasing bitmask order;
-    a candidate's id is its position."""
+def _candidate_traces(core: Graph, pattern: Graph) -> tuple[list[int], list[int], list[Trace]]:
+    """Edge bitmasks (over core.sorted_edges()), vertex bitmasks and traces
+    of the core's pattern-embeddable nonempty edge subsets, in increasing
+    edge-bitmask order; a candidate's id is its position.  A trace has no
+    isolated vertex, so a subset with more edges than the pattern, or with
+    more endpoints than the pattern has vertices, is skipped unbuilt."""
     edges = core.sorted_edges()
     k = len(edges)
     if k > MAX_COVER_EDGES:
         raise TooLarge(f"core has {k} edges, exhaustive cap is {MAX_COVER_EDGES}")
-    masks, traces = [], []
+    ends = [(1 << u) | (1 << v) for u, v in edges]
+    masks, vmasks, traces = [], [], []
     for mask in range(1, 1 << k):
-        sub_edges = [edges[i] for i in range(k) if (mask >> i) & 1]
-        verts = sorted({w for e in sub_edges for w in e})
+        if mask.bit_count() > pattern.m:
+            continue
+        vmask = 0
+        for i in _iter_bits(mask):
+            vmask |= ends[i]
+        if vmask.bit_count() > pattern.n:
+            continue
+        sub_edges = [edges[i] for i in _iter_bits(mask)]
+        verts = list(_iter_bits(vmask))
         sub, _ = subgraph_from_sets(verts, sub_edges)
         if contains_copy(sub, pattern):
             masks.append(mask)
+            vmasks.append(vmask)
             traces.append(Trace(tuple(verts), tuple(sub_edges)))
-    return masks, traces
+    return masks, vmasks, traces
 
 
-def _min_covers(masks: list[int], k: int, cap: int):
-    """Yield each inclusion-minimal cover of the k edges by at most cap of
-    the edge bitmasks once, as a sorted tuple of mask ids: MMCS (Murakami &
-    Uno, Discrete Appl. Math. 2014).  Branch on the uncovered edge with the
-    fewest candidates left, try them in id order, and let each one's subtree
-    add back only those tried before it.  A branch dies once a chosen mask
-    has no critical edge (one no other chosen mask covers) left."""
+def _min_covers(masks: list[int], vmasks: list[int], k: int, cap: int, leaf) -> None:
+    """Call leaf(chosen, vsum, twice) once for each inclusion-minimal cover
+    of the k edges by at most cap of the edge bitmasks: MMCS (Murakami &
+    Uno, Discrete Appl. Math. 2014).  chosen holds the cover's mask ids in
+    the order they were chosen, vsum is the total of their vertex counts and
+    twice the vertices that two or more of them share; both are carried
+    down the recursion, one trace per level.  Branch on the uncovered edge
+    with the fewest candidates left, try them in id order, and let each
+    one's subtree add back only those tried before it.  A branch dies once
+    a chosen mask has no critical edge (one no other chosen mask covers)
+    left."""
     by_edge = [sum(1 << c for c, m in enumerate(masks) if (m >> i) & 1) for i in range(k)]
 
-    def extend(chosen: tuple, crit: tuple, uncov: int, cand: int):
+    def extend(chosen: tuple, crit: list, uncov: int, cand: int, vsum: int, once: int, twice: int):
         if not uncov:
-            yield tuple(sorted(chosen))
+            leaf(chosen, vsum, twice)
             return
         if len(chosen) >= cap:
             return
@@ -255,13 +270,16 @@ def _min_covers(masks: list[int], k: int, cap: int):
         cand &= ~branch
         for c in _iter_bits(branch):
             m = masks[c]
-            kept = tuple(x & ~m for x in crit)
-            if all(kept):
-                yield from extend(chosen + (c,), kept + (m & uncov,), uncov & ~m, cand)
+            kept = [x & ~m for x in crit]
+            if 0 not in kept:
+                kept.append(m & uncov)
+                vm = vmasks[c]
+                extend(chosen + (c,), kept, uncov & ~m, cand,
+                       vsum + vm.bit_count(), once | vm, twice | (once & vm))
             cand |= 1 << c
 
     if k:
-        yield from extend((), (), (1 << k) - 1, (1 << len(masks)) - 1)
+        extend((), [], (1 << k) - 1, (1 << len(masks)) - 1, 0, 0, 0)
 
 
 def _overlaps(vmasks: list[int]) -> list[int]:
@@ -287,8 +305,10 @@ def enumerate_min_trace_covers(
     subgraphs (traces), each emitted once, in (size, candidate ids) order.
     Minimality: dropping any trace breaks coverage.  max_size bounds the
     search depth, so no cover of more traces is built."""
-    masks, traces = _candidate_traces(core, pattern)
-    found = _min_covers(masks, core.m, core.m if max_size is None else max_size)
+    masks, vmasks, traces = _candidate_traces(core, pattern)
+    found = []
+    _min_covers(masks, vmasks, core.m, core.m if max_size is None else max_size,
+                lambda chosen, vsum, twice: found.append(tuple(sorted(chosen))))
     return [_trace_cover(traces, ids) for ids in sorted(found, key=lambda c: (len(c), c))]
 
 
@@ -307,30 +327,39 @@ class CoverReport:
 def verify_cover_inequality(core: Graph, pattern: Graph) -> CoverReport:
     """Check sum(v_i) >= core order + cover size over every in-scope
     inclusion-minimal trace cover (size >= 2, all overlaps >= 2); report the
-    minimizing cover (the first minimum in (size, candidate ids) order) and
-    whether every cover satisfies the overlap property.  The covers are
-    streamed; only the reported ones become TraceCover objects."""
-    masks, traces = _candidate_traces(core, pattern)
-    vmasks = [sum(1 << v for v in t.vertices) for t in traces]
+    minimizing cover (the first minimum in (slack, size, candidate ids)
+    order) and whether every cover satisfies the overlap property.  Each
+    cover reaches the leaf below with its vertex total and twice-covered
+    vertices, so a trace's overlap is one AND; ids are sorted only for a
+    violation or a cover that may be the new minimum, and nothing else per
+    cover is kept.  Only the reported covers become TraceCover objects."""
+    masks, vmasks, traces = _candidate_traces(core, pattern)
     b = core.n
     total = in_scope = equality = 0
     all_ge2 = True
     best = None  # (slack, size, ids)
     violations = []
-    for ids in _min_covers(masks, core.m, core.m):
+
+    def leaf(chosen: tuple, vsum: int, twice: int) -> None:
+        nonlocal total, in_scope, equality, all_ge2, best
         total += 1
-        covered = [vmasks[c] for c in ids]
-        if min(_overlaps(covered)) < 2:  # also every single-trace cover
-            all_ge2 = False
-            continue
+        for c in chosen:
+            if (vmasks[c] & twice).bit_count() < 2:  # also every single-trace cover
+                all_ge2 = False
+                return
         in_scope += 1
-        slack = sum(vm.bit_count() for vm in covered) - (b + len(ids))
+        size = len(chosen)
+        slack = vsum - (b + size)
         if slack == 0:
             equality += 1
         elif slack < 0:
-            violations.append(ids)
-        if best is None or (slack, len(ids), ids) < best:
-            best = (slack, len(ids), ids)
+            violations.append(tuple(sorted(chosen)))
+        if best is None or (slack, size) <= best[:2]:
+            key = (slack, size, tuple(sorted(chosen)))
+            if best is None or key < best:
+                best = key
+
+    _min_covers(masks, vmasks, core.m, core.m, leaf)
     violations.sort(key=lambda c: (len(c), c))
     return CoverReport(
         core_n=b,
@@ -556,13 +585,15 @@ def estimate_copy_count(
     if n < 0 or trials < 0:
         raise ParamOutOfRange("n and trials must be nonnegative")
     _check_eps(eps)
+    masks, vmasks, _ = _candidate_traces(core, pattern)  # refuses a large core before sampling
+    sizes = set()
+    _min_covers(masks, vmasks, core.m, core.m, lambda chosen, vsum, twice: sizes.add(len(chosen)))
+    sizes.discard(1)
     tasks = [
         (core, pattern, n, eps, (seed ^ t) & _SEED_MASK, copy_limit, p_override)
         for t in range(trials)
     ]
     counts = _run_trials(_copy_count_trial, jobs, tasks)
-    masks, _ = _candidate_traces(core, pattern)
-    sizes = [len(ids) for ids in _min_covers(masks, core.m, core.m) if len(ids) >= 2]
     ell_min = min(sizes) if sizes else None
     ell_max = max(sizes) if sizes else None
     sqrt_n = math.sqrt(n)

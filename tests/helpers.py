@@ -293,18 +293,10 @@ def _orderable(pieces: list[frozenset]) -> bool:
     return (1 << k) - 1 in reachable
 
 
-def min_trace_covers_oracle(
-    core: Graph, pattern: Graph, max_size: int | None = None
-) -> list[tuple[int, ...]]:
-    """Inclusion-minimal covers of the core's edges by pattern-embeddable
-    edge subsets (traces), by brute force.
-
-    Traces are the nonempty edge subsets that embeddings_oracle embeds;
-    every subset of at most k traces (k = the core's edge count, or
-    max_size) is tried, and a cover is minimal when removing any one trace
-    uncovers an edge.  Each cover is the sorted tuple of its traces' edge
-    bitmasks over the sorted core edges; covers come in (size, masks) order.
-    """
+def trace_masks_oracle(core: Graph, pattern: Graph) -> list[int]:
+    """Edge bitmasks, over the sorted core edges and in increasing order, of
+    every nonempty edge subset that embeddings_oracle embeds into the
+    pattern (a trace), by testing all of them."""
     edges = sorted(core.edges)
     k = len(edges)
     traces = []
@@ -315,6 +307,23 @@ def min_trace_covers_oracle(
         sub = Graph(len(verts), frozenset((relabel[u], relabel[v]) for u, v in sub_edges))
         if embeddings_oracle(sub, pattern):
             traces.append(mask)
+    return traces
+
+
+def min_trace_covers_oracle(
+    core: Graph, pattern: Graph, max_size: int | None = None
+) -> list[tuple[int, ...]]:
+    """Inclusion-minimal covers of the core's edges by pattern-embeddable
+    edge subsets (traces), by brute force.
+
+    Traces come from trace_masks_oracle; every subset of at most k traces
+    (k = the core's edge count, or max_size) is tried, and a cover is
+    minimal when removing any one trace uncovers an edge.  Each cover is
+    the sorted tuple of its traces' edge bitmasks over the sorted core
+    edges; covers come in (size, masks) order.
+    """
+    k = core.m
+    traces = trace_masks_oracle(core, pattern)
     full = (1 << k) - 1
     covers = []
     for size in range(1, (k if max_size is None else max_size) + 1):

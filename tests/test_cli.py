@@ -353,6 +353,13 @@ PINNED_DOCUMENTS = [
     (["covers", "--graph", "Cl", "--pattern", "Bg"],
      "753d04094e9de020d8837fa582eccbff0dde8084e84d34f48e5e08b9b9736713",
      "cee71e0fbb9f8ac390abeadbd7cca6cba705dcfe36707a470c9a2f08e91255ea"),
+    # large automorphism groups: 73,993 and 55,084 minimal covers
+    (["covers", "--graph", "Gs@ipo", "--pattern", "Bw"],
+     "5f27490f0f4afe4a353a8105eb4feb6547a5d4478c75ff78f325ffe90342fdb2",
+     "e3230dc3878b911b75e852d60fd184f8cf1597254042b43ab1deaf52dbd5585f"),
+    (["covers", "--graph", "E|fG", "--pattern", "Bw"],
+     "ad8a47ee3eeb173c7dc4ddedf2a114ddb85b0ad2ec0587e4fea46ff69eacff5a",
+     "0dd2bb89b4ea105b9b6505c9bb74432ba0fb58bdd077a90d5bc464e31d15920f"),
     (["count", "--graph", "Cl", "--pattern", "Bw", "-n", "20", "--eps", "0.3",
       "--trials", "3"],
      "5defaf9808b07976e3ee36847bd426aae31de386b9c57d4a2735118eaec2014f",
@@ -368,8 +375,11 @@ PINNED_DOCUMENTS = [
 ]
 
 
+_PINNED_ID_SUFFIXES = {"--budget": "-budget", "Gs@ipo": "-cube", "E|fG": "-w5"}
+
+
 @pytest.mark.parametrize("argv, json_sha, text_sha", PINNED_DOCUMENTS,
-                         ids=[argv[0] + ("-budget" if "--budget" in argv else "")
+                         ids=[argv[0] + "".join(_PINNED_ID_SUFFIXES.get(a, "") for a in argv)
                               for argv, _, _ in PINNED_DOCUMENTS])
 def test_whole_documents_are_pinned(argv, json_sha, text_sha):
     for fmt, sha in (("json", json_sha), ("text", text_sha)):

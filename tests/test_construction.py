@@ -44,7 +44,9 @@ from helpers import (
     diamond,
     min_trace_covers_oracle,
     nonisomorphic_graphs,
+    random_graph,
     random_graphs,
+    trace_masks_oracle,
 )
 
 K3 = complete_graph(3)
@@ -223,6 +225,20 @@ class TestTraceCovers:
         assert all(c.size <= 2 for c in covers)
         assert len(covers) == 2
 
+    def test_candidate_cut_matches_oracle(self):
+        """Skipping subsets with more edges than the pattern, or more
+        endpoints than its vertices, drops no trace: the candidate masks are
+        every embeddable edge subset, in increasing order."""
+        k3_plus_isolated = Graph(4, K3.edges)
+        patterns = [complete_graph(2), path_graph(3), K3, C4, complete_graph(4), k3_plus_isolated]
+        rng = random.Random(18)
+        cores = [random_graph(rng.randint(4, 8), rng.randint(1, 12), rng) for _ in range(12)]
+        cores += [parse_graph6(g6) for g6 in ("D~{", "Gs@ipo", "E}lw")]  # K5, cube, octahedron
+        for core in cores:
+            for pattern in patterns:
+                got = construction._candidate_traces(core, pattern)[0]
+                assert got == trace_masks_oracle(core, pattern), (core.edges, pattern.edges)
+
 
 class TestCoverInequality:
     @pytest.mark.parametrize(
@@ -273,6 +289,49 @@ class TestCoverInequality:
             assert rep.violations == []
             cores_seen += 1
         assert cores_seen > 10
+
+    @pytest.mark.parametrize("pattern", [K3, path_graph(3)], ids=["K3", "P3"])
+    def test_aggregates_match_oracle(self, pattern):
+        """Every reported aggregate, recomputed from the brute-force covers
+        with vertex sets and overlaps taken from the edge masks, on every
+        graph of at most 5 vertices and 6 edges under two relabelings."""
+        for core in nonisomorphic_graphs(5, 6):
+            for seed in (1, 2):
+                perm = list(range(core.n))
+                random.Random(seed).shuffle(perm)
+                g = Graph(core.n, frozenset(
+                    (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in core.edges))
+                edges = sorted(g.edges)
+
+                def vertices(mask):
+                    return {w for i, e in enumerate(edges) if (mask >> i) & 1 for w in e}
+
+                in_scope = []  # (slack, size, masks)
+                all_ge2 = True
+                covers = min_trace_covers_oracle(g, pattern)
+                for cover in covers:
+                    vsets = [vertices(mask) for mask in cover]
+                    overlaps = [len(vs & set().union(*(o for j, o in enumerate(vsets) if j != i)))
+                                for i, vs in enumerate(vsets)]
+                    if len(cover) < 2 or min(overlaps) < 2:
+                        all_ge2 = False
+                        continue
+                    slack = sum(len(vs) for vs in vsets) - (g.n + len(cover))
+                    in_scope.append((slack, len(cover), cover))
+                rep = verify_cover_inequality(g, pattern)
+                index = {e: i for i, e in enumerate(edges)}
+
+                def masks(cover):
+                    return tuple(sorted(sum(1 << index[e] for e in t.edges) for t in cover.traces))
+
+                assert rep.covers_total == len(covers), g.edges
+                assert rep.covers_in_scope == len(in_scope), g.edges
+                assert rep.equality_cases == sum(1 for s, _, _ in in_scope if s == 0), g.edges
+                assert [masks(c) for c in rep.violations] == [c for s, _, c in in_scope if s < 0]
+                assert rep.all_covers_overlap_ge2 == (bool(covers) and all_ge2), g.edges
+                best = min(in_scope, default=None)
+                assert rep.min_slack == (best and best[0]), g.edges
+                assert (rep.min_cover and masks(rep.min_cover)) == (best and best[2]), g.edges
 
     def test_k5_covers_in_seconds(self):
         """K5 has 241,972 minimal K3-trace covers, which leaf filtering took
@@ -447,6 +506,14 @@ class TestEstimators:
         assert stats.exponent_bound == pytest.approx(0.6)
         assert stats.cover_size_max == 4
         assert stats.exponent_dominant == pytest.approx(1.2)
+
+    def test_copy_count_refuses_large_core_before_trials(self, monkeypatch):
+        def trial(args):
+            raise AssertionError("sampled before the core's edge cap was checked")
+
+        monkeypatch.setattr(construction, "_copy_count_trial", trial)
+        with pytest.raises(TooLarge):
+            estimate_copy_count(complete_graph(6), K3, 120, 0.7, trials=3)
 
     def test_copy_count_deterministic(self):
         a = estimate_copy_count(C4, K3, 60, 0.3, trials=8, seed=21)
