@@ -581,21 +581,31 @@ def estimate_copy_count(
     p_override: float | None = None,
 ) -> CopyCountStats:
     """Distribution of the number of core copies over independent samples
-    of the copy-union graph, with the exhaustive cover-exponent bounds."""
+    of the copy-union graph, with the cover-exponent bounds of the smallest
+    and largest inclusion-minimal covers of two or more traces."""
     if n < 0 or trials < 0:
         raise ParamOutOfRange("n and trials must be nonnegative")
     _check_eps(eps)
     masks, vmasks, _ = _candidate_traces(core, pattern)  # refuses a large core before sampling
-    sizes = set()
-    _min_covers(masks, vmasks, core.m, core.m, lambda chosen, vsum, twice: sizes.add(len(chosen)))
-    sizes.discard(1)
+    ell_min = ell_max = None
+    if core.m >= 2 and masks:
+        # every single edge is then a trace and the all-single-edge cover is
+        # minimal; no minimal cover is larger, as each trace in one covers
+        # an edge no other does
+        ell_max = core.m
+        # the first cap that admits a cover of two or more traces is the
+        # smallest size of one
+        for ell_min in range(2, core.m + 1):
+            sizes: list[int] = []
+            _min_covers(masks, vmasks, core.m, ell_min,
+                        lambda chosen, vsum, twice: sizes.append(len(chosen)))
+            if max(sizes, default=0) > 1:
+                break
     tasks = [
         (core, pattern, n, eps, (seed ^ t) & _SEED_MASK, copy_limit, p_override)
         for t in range(trials)
     ]
     counts = _run_trials(_copy_count_trial, jobs, tasks)
-    ell_min = min(sizes) if sizes else None
-    ell_max = max(sizes) if sizes else None
     sqrt_n = math.sqrt(n)
     within = sum(1 for x in counts if x <= sqrt_n)
     return CopyCountStats(

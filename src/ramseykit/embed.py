@@ -7,6 +7,15 @@ default embedding stream holds as many embeddings per copy as the pattern
 has automorphisms; with one_per_copy, order constraints from the pattern's
 stabiliser chain (Grochow & Kellis, RECOMB 2007) let only the first of them
 through, so each copy is generated once.
+
+Find-first searches (find_embedding, contains_copy, subset_hits) use the
+same constraints for patterns of up to SYMMETRY_CAP vertices.  Their
+answers do not change: the default stream is in lexicographic order of
+host ids by plan position, so its first embedding is the least embedding of
+its copy and passes every constraint, and the search still reaches it first;
+a search that fails walks one embedding per copy instead of one per
+automorphism.  Larger patterns search unconstrained, since the plan's
+self-searches of the pattern can cost far more than a search saves.
 """
 
 from __future__ import annotations
@@ -25,6 +34,11 @@ DEFAULT_COPY_LIMIT = 100_000
 # copies subset_hits keeps to answer later masks from; more makes every
 # miss scan longer where few copies fit a mask
 MEMO_COPIES = 8
+# largest pattern order whose find-first searches break its symmetry: the
+# self-searches of _symmetry_plan fail slowly on dense patterns with few
+# automorphisms, taking up to about 1 ms at 10 vertices but 11 ms at 12 and
+# 360 ms at 13 (random graphs of density 0.5-0.95)
+SYMMETRY_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -239,11 +253,22 @@ def enumerate_embeddings(
         yield Embedding(pn, tuple(m), frozenset(m), image_edges)
 
 
+def _find_first_plan(pattern: Graph) -> tuple:
+    """The unpinned search plan of a find-first search, and its symmetry
+    constraints up to SYMMETRY_CAP pattern vertices (None above)."""
+    smaller = _symmetry_plan(pattern, None)[0] if pattern.n <= SYMMETRY_CAP else None
+    return _search_plan(pattern, None), smaller
+
+
 def find_embedding(
     pattern: Graph, host: Graph,
     pin: tuple[int, int] | None = None, within: int | None = None,
 ) -> Embedding | None:
-    return next(enumerate_embeddings(pattern, host, pin, within), None)
+    """The first embedding of the default stream of enumerate_embeddings
+    with these arguments, or None.  Up to SYMMETRY_CAP pattern vertices it
+    is taken from the one_per_copy stream, which starts with it."""
+    one_per_copy = pattern.n <= SYMMETRY_CAP
+    return next(enumerate_embeddings(pattern, host, pin, within, one_per_copy), None)
 
 
 def contains_copy(pattern: Graph, host: Graph, within: int | None = None) -> bool:
@@ -256,7 +281,8 @@ def contains_copy(pattern: Graph, host: Graph, within: int | None = None) -> boo
     within = _checked_mask(pattern, host, None, within)
     if pattern.n > within.bit_count():
         return False
-    return next(_assignments(_search_plan(pattern, None), host, within), None) is not None
+    plan, smaller = _find_first_plan(pattern)
+    return next(_assignments(plan, host, within, (), smaller), None) is not None
 
 
 def subset_hits(pattern: Graph, host: Graph, masks):
@@ -269,7 +295,7 @@ def subset_hits(pattern: Graph, host: Graph, masks):
     a search; otherwise the find-first search runs inside the mask and a
     copy it finds goes to the front.
     """
-    plan = _search_plan(pattern, None)
+    plan, smaller = _find_first_plan(pattern)
     pn, hn = pattern.n, host.n
     found: list[int] = []
     for mask in masks:
@@ -283,7 +309,7 @@ def subset_hits(pattern: Graph, host: Graph, masks):
                 found.remove(c)
                 break
         else:
-            assignment = next(_assignments(plan, host, mask), None)
+            assignment = next(_assignments(plan, host, mask, (), smaller), None)
             if assignment is None:
                 yield False
                 continue

@@ -507,6 +507,22 @@ class TestEstimators:
         assert stats.cover_size_max == 4
         assert stats.exponent_dominant == pytest.approx(1.2)
 
+    @pytest.mark.parametrize("pattern", [K3, path_graph(3)], ids=["K3", "P3"])
+    def test_cover_sizes_match_every_minimal_cover(self, pattern):
+        """The smallest and largest inclusion-minimal covers of two or more
+        traces, found without listing every cover, are those of the brute
+        force oracle on every graph of at most 5 vertices and 6 edges."""
+        for core in nonisomorphic_graphs(5, 6):
+            sizes = [len(c) for c in min_trace_covers_oracle(core, pattern) if len(c) > 1]
+            stats = estimate_copy_count(core, pattern, 20, 0.3, trials=0)
+            expected = (min(sizes), max(sizes)) if sizes else (None, None)
+            assert (stats.cover_size_min, stats.cover_size_max) == expected, core.edges
+
+    def test_cover_sizes_need_not_list_every_cover(self):
+        # the octahedron has 1,978,141 minimal triangle-trace covers
+        stats = estimate_copy_count(parse_graph6("E}lw"), K3, 20, 0.3, trials=0)
+        assert (stats.cover_size_min, stats.cover_size_max) == (4, 12)
+
     def test_copy_count_refuses_large_core_before_trials(self, monkeypatch):
         def trial(args):
             raise AssertionError("sampled before the core's edge cap was checked")

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import time
@@ -43,6 +44,7 @@ from helpers import (
     diamond,
     embeddings_oracle,
     paw,
+    random_graph,
     random_graphs,
 )
 
@@ -340,6 +342,75 @@ def test_subset_hits_is_contains_copy_per_mask(case, data):
     assert list(subset_hits(pattern, host, masks)) == [
         contains_copy(pattern, host, within=mask) for mask in masks
     ]
+
+
+def find_first_corpus(count: int, seed: int):
+    """Seeded (pattern, host, pin, mask) cases: hosts of up to 13 vertices
+    and patterns of up to 6, every third one disconnected, all densities;
+    pins and masks on about half of them."""
+    rng = random.Random(seed)
+
+    def draw(lo: int, hi: int) -> Graph:
+        n = rng.randint(lo, hi)
+        return random_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
+
+    for case in range(count):
+        pattern = draw(1, 6)
+        if case % 3 == 0:
+            pattern = disjoint_union(draw(1, 3), draw(1, 3))
+        host = draw(0, 13)
+        mask = rng.getrandbits(host.n) if rng.random() < 0.6 else None
+        pin = None
+        if host.n and rng.random() < 0.5:
+            pin = (rng.randrange(pattern.n), rng.randrange(host.n))
+        yield pattern, host, pin, mask
+
+
+def test_find_first_answers_are_the_default_stream():
+    """The find-first searches break the pattern's symmetry, yet answer as
+    the unconstrained default stream does."""
+    rng = random.Random(7)
+    checked = 0
+    for pattern, host, pin, mask in find_first_corpus(400, seed=19):
+        first = next(enumerate_embeddings(pattern, host, pin, mask), None)
+        assert find_embedding(pattern, host, pin, mask) == first
+        kept = [v for v in range(host.n) if mask is None or mask >> v & 1]
+        found = contains_copy(pattern, host, mask)
+        if len(kept) <= 8:  # the permutation oracle grows as 8!/2! here
+            sub, _ = induced_subgraph(host, kept)
+            assert found == bool(embeddings_oracle(pattern, sub))
+            checked += 1
+        masks = [rng.getrandbits(host.n) for _ in range(6)] + [mask or 0]
+        assert list(subset_hits(pattern, host, masks)) == [
+            contains_copy(pattern, host, within=m) for m in masks
+        ]
+    assert checked >= 200
+
+
+def test_find_first_above_the_cap_builds_no_symmetry_plan(monkeypatch):
+    planned = []
+    real = embed._symmetry_plan
+
+    def recording(pattern, first):
+        planned.append(pattern.n)
+        return real(pattern, first)
+
+    monkeypatch.setattr(embed, "_symmetry_plan", recording)
+    cap = embed.SYMMETRY_CAP
+    host = cycle_graph(4 * cap)
+    whole = (1 << host.n) - 1
+    for n in (cap + 1, 3 * cap):
+        path = path_graph(n)
+        assert find_embedding(path, host) is not None
+        assert find_embedding(path, host, pin=(0, 5), within=whole) is not None
+        assert contains_copy(path, host)
+        assert list(subset_hits(path, host, [whole, whole >> 1])) == [True, True]
+    assert planned == []
+    path = path_graph(cap)
+    find_embedding(path, host)
+    contains_copy(path, host)
+    list(subset_hits(path, host, [whole]))
+    assert planned == [cap] * 3
 
 
 def first_of_each_copy(stream):
