@@ -16,6 +16,8 @@ goes on to the target minus its last attached piece.  No level needs a
 search of its own: every vertex of the rest carries b - 1 copies that meet
 only there, and at most b - 2 of them meet an embedding of the smaller
 target, so such an embedding would extend to one of the whole target.
+A level enumerates its pattern copies once, unpinned, and reads each
+vertex's copies in the role off them through the role's orbit.
 
 The decomposition, and each level's role, b and palette arithmetic,
 depend only on (target, pattern): they form a target plan, built once per
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
+from itertools import islice
 
 from .degeneracy import ForestDecomposition, forest_decomposition
 from .embed import (
@@ -103,6 +106,10 @@ class Certificate:
         return doc
 
 
+def _past_limit(v: int, limit: int | None) -> EnumerationTruncated:
+    return EnumerationTruncated(f"pinned copy enumeration at vertex {v} exceeded {limit} copies")
+
+
 def _pinned_copies(
     g: Graph, pattern: Graph, role: int, v: int, limit: int | None, within: int | None
 ) -> tuple[list[tuple[Copy, Embedding]], list[int]]:
@@ -113,10 +120,39 @@ def _pinned_copies(
         pattern, g, pin=(role, v), limit=limit, within=within
     )
     if truncated:
-        raise EnumerationTruncated(
-            f"pinned copy enumeration at vertex {v} exceeded {limit} copies"
-        )
+        raise _past_limit(v, limit)
     return pairs, [sum(1 << w for w in copy.vertices if w != v) for copy, _ in pairs]
+
+
+def _level_copies(
+    g: Graph, pattern: Graph, role: int, orbit: tuple[int, ...], limit: int | None, active: int
+) -> dict[int, list[int]]:
+    """_pinned_copies(g, pattern, role, v, limit, active)[1] for every
+    active v, in id order, from one unpinned enumeration: a copy sits at v
+    in the role exactly when its first embedding maps a member of the
+    role's orbit to v.  A copy lands at len(orbit) vertices, so past
+    limit * |active| / len(orbit) copies some vertex is past the limit;
+    the stream stops there, and the pinned search names the first."""
+    stream = enumerate_embeddings(pattern, g, within=active, one_per_copy=True)
+    if limit is not None:
+        cap = limit * active.bit_count() // len(orbit)
+        stream = islice(stream, cap + 1)
+    # copies in key order, as vertex tuples and role maps; copies on one
+    # vertex set have one mask, so ties need no edge order
+    copies = sorted((tuple(sorted(emb.map)), emb.map) for emb in stream)
+    if limit is not None and len(copies) > cap:
+        for v in _iter_bits(active):
+            _pinned_copies(g, pattern, role, v, limit, active)
+        raise AssertionError("copies past the cap, yet no vertex past the copy limit")
+    lists: dict[int, list[int]] = {v: [] for v in _iter_bits(active)}
+    for verts, m in copies:
+        mask = sum(1 << w for w in verts)
+        for w in orbit:
+            lists[m[w]].append(mask ^ (1 << m[w]))
+    for v, masks in lists.items():
+        if limit is not None and len(masks) > limit:
+            raise _past_limit(v, limit)
+    return lists
 
 
 def _pack(masks: list[int], t: int) -> list[int] | None:
@@ -244,8 +280,9 @@ def _solve(
 ) -> tuple[dict[int, int], list[LevelStats]]:
     """Color a host that contains no copy of the target, with no
     monochromatic pattern copy, one plan level at a time.  Each glued level
-    enumerates every active vertex's copies in the role once, inside the
-    active vertices.  U, the vertices without b_cur - 1 of them pairwise
+    enumerates the pattern's copies inside the active vertices once,
+    unpinned, and lists each active vertex's copies in the role by the
+    role's orbit.  U, the vertices without b_cur - 1 of them pairwise
     meeting only there, is colored from the same lists, filtered to the
     copies inside U; the rest stays active for the target minus the
     detached piece.  A level's colors start past the earlier levels'
@@ -254,13 +291,10 @@ def _solve(
     colors: dict[int, int] = {}
     stats: list[LevelStats] = []
     offset = 0
-    for depth, (pieces, b_cur, role, out_cap) in enumerate(levels):
+    for depth, (pieces, b_cur, role, orbit, out_cap) in enumerate(levels):
         level = LevelStats(depth, "glued", active.bit_count(), pieces)
-        u_lists: dict[int, list[int]] = {}
-        for v in _iter_bits(active):
-            _, masks = _pinned_copies(host, pattern, role, v, copy_limit, active)
-            if _pack(masks, b_cur - 1) is None:
-                u_lists[v] = masks
+        lists = _level_copies(host, pattern, role, orbit, copy_limit, active)
+        u_lists = {v: masks for v, masks in lists.items() if _pack(masks, b_cur - 1) is None}
         u_mask = sum(1 << v for v in u_lists)
         level.u_size = len(u_lists)
 
@@ -308,12 +342,24 @@ def _solve(
     return colors, stats
 
 
+def _orbit(pattern: Graph, role: int) -> tuple[int, ...]:
+    """The pattern vertices that an automorphism maps role to, ascending.
+    The pinned one_per_copy stream breaks the role's stabiliser at any
+    pattern order; find_embedding searches unconstrained above
+    SYMMETRY_CAP, where a failing self-search of a dense pattern is slow."""
+    return tuple(
+        w for w in range(pattern.n)
+        if any(enumerate_embeddings(pattern, pattern, pin=(role, w), one_per_copy=True))
+    )
+
+
 def _build_target_plan(target: Graph, pattern: Graph, dec: ForestDecomposition) -> tuple:
     """Everything the coloring needs that does not depend on the host:
     (decomposition size, palette bound, glued levels, final case).  Each
     glued level detaches the last piece that meets the earlier union and
-    is (pieces, b_cur, role, out_cap), the role taken from the least
-    embedding of the piece into the pattern; the final case is
+    is (pieces, b_cur, role, orbit, out_cap), the role taken from the least
+    embedding of the piece into the pattern, with its orbit under the
+    pattern's automorphisms; the final case is
     ("single-piece" or "disjoint", pieces)."""
     plist = list(zip(dec.pieces, dec.attachments))
     levels = []
@@ -326,7 +372,8 @@ def _build_target_plan(target: Graph, pattern: Graph, dec: ForestDecomposition) 
         eta = min(enumerate_embeddings(psub, pattern), key=lambda e: e.map, default=None)
         assert eta is not None, "decomposition pieces embed into the pattern"
         role = eta.map[pmap.index(x)]
-        levels.append((len(plist), b_cur, role, (pattern.n - 1) * (b_cur - 2)))
+        orbit = _orbit(pattern, role)
+        levels.append((len(plist), b_cur, role, orbit, (pattern.n - 1) * (b_cur - 2)))
         del plist[i]
     final = ("single-piece" if len(plist) == 1 else "disjoint", len(plist))
     bound = palette_bound(pattern.n, target.n, dec.size)

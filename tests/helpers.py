@@ -159,12 +159,20 @@ def copies_oracle(pattern: Graph, host: Graph) -> set[tuple]:
     return images
 
 
-def automorphisms_oracle(g: Graph) -> int:
-    count = 0
+def _automorphisms(g: Graph):
     for perm in permutations(range(g.n)):
         if all(g.has_edge(perm[u], perm[v]) for u, v in g.edges):
-            count += 1
-    return count
+            yield perm
+
+
+def automorphisms_oracle(g: Graph) -> int:
+    return sum(1 for _ in _automorphisms(g))
+
+
+def orbit_oracle(g: Graph, role: int) -> tuple[int, ...]:
+    """The vertices some automorphism maps role to, ascending, by trying
+    every permutation."""
+    return tuple(sorted({perm[role] for perm in _automorphisms(g)}))
 
 
 def degenerate_oracle(g: Graph, pattern: Graph) -> bool:

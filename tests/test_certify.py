@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +34,16 @@ from ramseykit.graphs import (
     path_graph,
 )
 
-from helpers import bowtie, random_graphs, two_triangles
+from helpers import (
+    bowtie,
+    diamond,
+    nonisomorphic_graphs,
+    orbit_oracle,
+    paw,
+    random_graph,
+    random_graphs,
+    two_triangles,
+)
 
 
 class TestStarFamily:
@@ -461,14 +471,22 @@ def test_flower_colors_u_inside_u():
 
 
 def test_one_pinned_enumeration_per_vertex_and_level(monkeypatch):
-    real = certify.enumerate_copies_with_witness
-    pinned = []
+    """Each glued level makes one unpinned enumeration in the host, and at
+    the default copy limit no pinned one: the per-vertex lists are read off
+    that enumeration through the role's orbit."""
+    real_stream, real_pinned = certify.enumerate_embeddings, certify.enumerate_copies_with_witness
+    streams, pinned = [], []
 
-    def counting(*args, **kwargs):
+    def counting_stream(pattern, host, *args, **kwargs):
+        streams.append((host, args, kwargs))
+        return real_stream(pattern, host, *args, **kwargs)
+
+    def counting_pinned(*args, **kwargs):
         pinned.append(kwargs["pin"])
-        return real(*args, **kwargs)
+        return real_pinned(*args, **kwargs)
 
-    monkeypatch.setattr(certify, "enumerate_copies_with_witness", counting)
+    monkeypatch.setattr(certify, "enumerate_embeddings", counting_stream)
+    monkeypatch.setattr(certify, "enumerate_copies_with_witness", counting_pinned)
     cases = [
         (host, pattern, target)
         for pattern, target in ACCEPTANCE_PAIRS + [(path_graph(3), path_graph(5))]
@@ -477,13 +495,74 @@ def test_one_pinned_enumeration_per_vertex_and_level(monkeypatch):
     cases.append((parse_graph6(FLOWER), complete_graph(3), parse_graph6(CHAIN)))
     glued = u_below_active = 0
     for host, pattern, target in cases:
-        pinned.clear()
+        streams.clear()
         cert = embed_or_color(host, pattern, target)
         levels = [s for s in cert.levels if s.case == "glued"]
-        assert len(pinned) == sum(s.host_size for s in levels)
+        in_host = [(args, kwargs) for h, args, kwargs in streams if h is host]
+        assert len(in_host) == len(levels)
+        for args, kwargs in in_host:
+            assert not args and kwargs.get("pin") is None and kwargs["one_per_copy"]
         glued += len(levels)
         u_below_active += sum(s.u_size < s.host_size for s in levels)
     assert glued and u_below_active
+    assert not pinned
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except EnumerationTruncated as exc:
+        return str(exc)
+
+
+def _pinned_lists(host, pattern, role, limit, within):
+    return {
+        v: certify._pinned_copies(host, pattern, role, v, limit, within)[1]
+        for v in certify._iter_bits(within)
+    }
+
+
+def test_level_lists_match_pinned_enumerations():
+    """_level_copies gives every active vertex the masks of its pinned
+    enumeration, or raises the pinned enumeration's truncation at the
+    first vertex past the limit, whether or not the copy count passed
+    limit * |active| / |orbit| and cut the enumeration short."""
+    rng = random.Random(20)
+    patterns = [
+        complete_graph(2), path_graph(3), complete_graph(3), paw(), diamond(),
+        cycle_graph(4), bowtie(),
+    ]
+    orbit_sizes = set()
+    under_cap = past_cap = 0
+    for n in rng.choices(range(6, 15), k=30):
+        host = random_graph(n, rng.randint(n, 3 * n), rng)
+        within = sum(1 << v for v in range(n) if rng.random() < 0.85)
+        for pattern in patterns:
+            copies = len(enumerate_copies(pattern, host, limit=None, within=within).copies)
+            for role in range(pattern.n):
+                orbit = certify._orbit(pattern, role)
+                orbit_sizes.add(len(orbit))
+                for limit in (None, 0, 1, 2, 3, 5):
+                    expected = _outcome(_pinned_lists, host, pattern, role, limit, within)
+                    got = _outcome(
+                        certify._level_copies, host, pattern, role, orbit, limit, within
+                    )
+                    assert got == expected
+                    if isinstance(expected, str):
+                        cap = limit * within.bit_count() // len(orbit)
+                        past_cap += copies > cap
+                        under_cap += copies <= cap
+    assert orbit_sizes == {1, 2, 3, 4}
+    assert under_cap and past_cap
+
+
+def test_role_orbits_match_brute_force():
+    for g in nonisomorphic_graphs(5, 10):
+        for role in range(g.n):
+            assert certify._orbit(g, role) == orbit_oracle(g, role)
+    for pattern, target in ACCEPTANCE_PAIRS + [(complete_graph(3), parse_graph6(CHAIN))]:
+        for _, _, role, orbit, _ in certify._target_plan(target, pattern)[2]:
+            assert orbit == orbit_oracle(pattern, role)
 
 
 def test_supplied_decomposition_of_another_target_is_refused():
