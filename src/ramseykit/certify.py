@@ -36,6 +36,7 @@ from .embed import (
     DEFAULT_COPY_LIMIT,
     Embedding,
     _iter_bits,
+    _symmetry_plan,
     enumerate_copies,
     enumerate_copies_with_witness,
     enumerate_embeddings,
@@ -342,25 +343,14 @@ def _solve(
     return colors, stats
 
 
-def _orbit(pattern: Graph, role: int) -> tuple[int, ...]:
-    """The pattern vertices that an automorphism maps role to, ascending.
-    The pinned one_per_copy stream breaks the role's stabiliser at any
-    pattern order; find_embedding searches unconstrained above
-    SYMMETRY_CAP, where a failing self-search of a dense pattern is slow."""
-    return tuple(
-        w for w in range(pattern.n)
-        if any(enumerate_embeddings(pattern, pattern, pin=(role, w), one_per_copy=True))
-    )
-
-
 def _build_target_plan(target: Graph, pattern: Graph, dec: ForestDecomposition) -> tuple:
     """Everything the coloring needs that does not depend on the host:
     (decomposition size, palette bound, glued levels, final case).  Each
     glued level detaches the last piece that meets the earlier union and
     is (pieces, b_cur, role, orbit, out_cap), the role taken from the least
     embedding of the piece into the pattern, with its orbit under the
-    pattern's automorphisms; the final case is
-    ("single-piece" or "disjoint", pieces)."""
+    pattern's automorphisms (level 0 of the role's pinned stabiliser
+    chain); the final case is ("single-piece" or "disjoint", pieces)."""
     plist = list(zip(dec.pieces, dec.attachments))
     levels = []
     while len(plist) > 1 and any(att is not None for _, att in plist):
@@ -372,7 +362,7 @@ def _build_target_plan(target: Graph, pattern: Graph, dec: ForestDecomposition) 
         eta = min(enumerate_embeddings(psub, pattern), key=lambda e: e.map, default=None)
         assert eta is not None, "decomposition pieces embed into the pattern"
         role = eta.map[pmap.index(x)]
-        orbit = _orbit(pattern, role)
+        orbit = _symmetry_plan(pattern, role)[2]
         levels.append((len(plist), b_cur, role, orbit, (pattern.n - 1) * (b_cur - 2)))
         del plist[i]
     final = ("single-piece" if len(plist) == 1 else "disjoint", len(plist))

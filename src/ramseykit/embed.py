@@ -35,9 +35,9 @@ DEFAULT_COPY_LIMIT = 100_000
 # miss scan longer where few copies fit a mask
 MEMO_COPIES = 8
 # largest pattern order whose find-first searches break its symmetry: the
-# self-searches of _symmetry_plan fail slowly on dense patterns with few
-# automorphisms, taking up to about 1 ms at 10 vertices but 11 ms at 12 and
-# 360 ms at 13 (random graphs of density 0.5-0.95)
+# plan takes at most 0.5 ms at 10 vertices and 0.15 s at 20 (40 random graphs
+# of density 0.5-0.95), and on rigid regular patterns every failing
+# self-search is a full one: random cubic ones take 2.3 s at 150 vertices
 SYMMETRY_CAP = 10
 
 
@@ -104,15 +104,17 @@ def _search_plan(pattern: Graph, first: int | None) -> tuple:
 def _symmetry_plan(pattern: Graph, first: int | None) -> tuple:
     """Stabiliser-chain symmetry breaking for the plan of (pattern, first).
 
-    Level j holds the automorphisms fixing order[:j] pointwise (with a pin,
-    the chain starts at level 1, so only the pinned role's stabiliser is
-    broken).  w is in the level-j orbit of order[j] iff a search of the
-    pattern into itself extends the prefix order[:j] + (w,).  An embedding
-    is the lexicographically least of its copy's embeddings, in plan order,
-    iff its image at order[j] is below its image at every other orbit
-    member.  Returns, per position i, the earlier positions j whose image
-    must be smaller, and the orbit sizes, whose product is the order of the
-    broken group (orbit-stabiliser).
+    Level j holds the automorphisms fixing order[:j] pointwise; w is in the
+    orbit of order[j] iff a search of the pattern into itself extends the
+    prefix order[:j] + (w,).  An embedding is the lexicographically least of
+    its copy's, in plan order, iff at every level j its image at order[j] is
+    below its images at the other members of the orbit.  Levels are decided
+    deepest first, each search under the deeper levels' constraints, which
+    pass only the least map of each coset of the stabiliser of order[:j+1].
+    With a pin, level 0 adds no constraint, so only the pinned role's
+    stabiliser is broken.  Returns, per position i, the earlier positions j whose image
+    must be smaller; the orbit sizes, whose product is the order of the
+    group (orbit-stabiliser); and the level-0 orbit, ascending.
     """
     plan = _search_plan(pattern, first)
     order, placed_nbrs, _ = plan
@@ -123,21 +125,23 @@ def _symmetry_plan(pattern: Graph, first: int | None) -> tuple:
     nbr_degrees = [sorted(pattern.degree(u) for u in pattern.adj[v]) for v in range(pattern.n)]
     prefix_bits = list(accumulate((1 << v for v in order), or_))
     smaller: list[list[int]] = [[] for _ in order]
-    sizes = []
-    for j in range(0 if first is None else 1, pattern.n):
+    sizes, orbit = [], []
+    for j in reversed(range(pattern.n)):
         # level-j candidates other than order[j] itself, which the identity fixes
         cand = everything & ~prefix_bits[j]
         for p in placed_nbrs[j]:
             cand &= pattern.adj_bits[order[p]]
-        orbit = 1
+        orbit = [order[j]]
         for w in _iter_bits(cand):
             if nbr_degrees[w] != nbr_degrees[order[j]]:
                 continue
-            if next(_assignments(plan, pattern, everything, order[:j] + (w,)), None) is not None:
-                smaller[pos[w]].append(j)
-                orbit += 1
-        sizes.append(orbit)
-    return tuple(map(tuple, smaller)), tuple(sizes)
+            if any(_assignments(plan, pattern, everything, order[:j] + (w,), smaller)):
+                orbit.append(w)
+        if j or first is None:
+            for w in orbit[1:]:
+                smaller[pos[w]].insert(0, j)
+        sizes.append(len(orbit))
+    return tuple(map(tuple, smaller)), tuple(reversed(sizes)), tuple(sorted(orbit))
 
 
 def _iter_bits(mask: int):

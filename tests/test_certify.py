@@ -20,7 +20,12 @@ from ramseykit.certify import (
     star_family_at_least,
     verify_coloring,
 )
-from ramseykit.embed import contains_copy, enumerate_copies, enumerate_copies_with_witness
+from ramseykit.embed import (
+    _symmetry_plan,
+    contains_copy,
+    enumerate_copies,
+    enumerate_copies_with_witness,
+)
 from ramseykit.errors import EnumerationTruncated, NotDegenerate, ParamOutOfRange
 from ramseykit.graphs import (
     Graph,
@@ -298,6 +303,14 @@ class TestEmbedOrColor:
         assert cert.branch == EMBEDDING
         assert_certificate_sound(g, complete_graph(3), two_triangles(), cert)
 
+    def test_empty_target_rejected(self):
+        with pytest.raises(ParamOutOfRange, match="^target needs at least one vertex$"):
+            embed_or_color(complete_graph(3), complete_graph(3), empty_graph(0))
+
+    def test_star_family_of_no_copies_rejected(self):
+        with pytest.raises(ParamOutOfRange, match="^target family size must be at least 1$"):
+            star_family_at_least(complete_graph(4), complete_graph(3), 0, 0, 0)
+
     def test_empty_host(self):
         cert = embed_or_color(empty_graph(0), complete_graph(3), bowtie())
         assert cert.branch == COLORING
@@ -540,7 +553,7 @@ def test_level_lists_match_pinned_enumerations():
         for pattern in patterns:
             copies = len(enumerate_copies(pattern, host, limit=None, within=within).copies)
             for role in range(pattern.n):
-                orbit = certify._orbit(pattern, role)
+                orbit = _symmetry_plan(pattern, role)[2]
                 orbit_sizes.add(len(orbit))
                 for limit in (None, 0, 1, 2, 3, 5):
                     expected = _outcome(_pinned_lists, host, pattern, role, limit, within)
@@ -559,7 +572,7 @@ def test_level_lists_match_pinned_enumerations():
 def test_role_orbits_match_brute_force():
     for g in nonisomorphic_graphs(5, 10):
         for role in range(g.n):
-            assert certify._orbit(g, role) == orbit_oracle(g, role)
+            assert _symmetry_plan(g, role)[2] == orbit_oracle(g, role)
     for pattern, target in ACCEPTANCE_PAIRS + [(complete_graph(3), parse_graph6(CHAIN))]:
         for _, _, role, orbit, _ in certify._target_plan(target, pattern)[2]:
             assert orbit == orbit_oracle(pattern, role)
@@ -603,6 +616,18 @@ def test_malformed_supplied_decomposition_is_refused():
             embed_or_color(complete_graph(4), k3, bowtie(), decomposition=wrong)
     cert = embed_or_color(complete_graph(4), k3, bowtie(), decomposition=dec)
     assert cert.branch == COLORING
+
+
+def test_supplied_decomposition_missing_a_vertex_is_refused():
+    from ramseykit.degeneracy import forest_decomposition
+
+    k3 = complete_graph(3)
+    # the triangle's pieces split the edges of K3 plus an isolated vertex
+    # but leave that vertex out
+    target = disjoint_union(k3, empty_graph(1))
+    dec = forest_decomposition(k3, k3)
+    with pytest.raises(ParamOutOfRange, match="^the pieces do not cover the target's vertices$"):
+        embed_or_color(complete_graph(4), k3, target, decomposition=dec)
 
 
 OPTIMIZED_CHECKS = """

@@ -96,6 +96,9 @@ class TestSampling:
             )
             assert total_copy_count(n, pattern) == expected
 
+    def test_total_copy_count_of_a_pattern_larger_than_n(self):
+        assert total_copy_count(2, complete_graph(3)) == 0
+
     def test_p_zero_empty(self):
         params = ConstructionParams.derive(30, K3, 0.3, p_override=0.0)
         assert sample_copy_hypergraph(params, K3).copies == []
@@ -361,6 +364,10 @@ class TestConstruct:
         assert final.n == 60 - len(rep.deletions)
         assert rep.cores == ["C~"]
         assert 0 <= rep.density_fraction <= 1
+
+    def test_empty_family_rejected(self):
+        with pytest.raises(ParamOutOfRange, match="^family must be nonempty$"):
+            construct_family_free(50, K3, [], 0.3)
 
     def test_degenerate_family_rejected(self):
         with pytest.raises(NotApplicable):

@@ -25,6 +25,7 @@ from ramseykit.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     parse_graph6,
     path_graph,
     subgraph_from_sets,
@@ -125,6 +126,10 @@ class TestForestDecomposition:
     def test_none_for_non_degenerate(self):
         assert forest_decomposition(complete_graph(4), complete_graph(3)) is None
         assert forest_decomposition(diamond(), complete_graph(3)) is None
+
+    def test_empty_graph_needs_no_pieces(self):
+        dec = forest_decomposition(empty_graph(0), complete_graph(3))
+        assert (dec.size, dec.pieces, dec.minimal) == (0, [], True)
 
     def test_isolated_vertices_covered(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2)])  # plus isolated 3, 4

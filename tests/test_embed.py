@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -33,6 +34,7 @@ from ramseykit.graphs import (
     disjoint_union,
     empty_graph,
     induced_subgraph,
+    parse_graph6,
     path_graph,
 )
 
@@ -43,6 +45,7 @@ from helpers import (
     copies_oracle,
     diamond,
     embeddings_oracle,
+    orbit_oracle,
     paw,
     random_graph,
     random_graphs,
@@ -539,6 +542,29 @@ def test_symmetry_plan_searches_only_matching_neighbour_degrees(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(embed, "_assignments", counting)
-    smaller, sizes = _symmetry_plan.__wrapped__(path_graph(200), None)
+    smaller, sizes, _ = _symmetry_plan.__wrapped__(path_graph(200), None)
     assert len(calls) < 10
     assert sizes[0] == 2 and all(size == 1 for size in sizes[1:])
+
+
+def test_pinned_plans_carry_the_whole_group():
+    """A pinned plan decides level 0 as well, without breaking it: its
+    orbit sizes multiply to the order of the whole group, and its level-0
+    orbit is the pinned role's."""
+    for n in range(6):
+        for g in all_graphs(n):
+            order = automorphisms_oracle(g)
+            for role in range(n):
+                _, sizes, orbit = _symmetry_plan(g, role)
+                assert math.prod(sizes) == order
+                assert orbit == orbit_oracle(g, role)
+
+
+def test_symmetry_plan_of_a_dense_pattern_is_fast():
+    """Deeper levels are decided first, so each self-search walks one map
+    per coset of the next stabiliser, not one per automorphism."""
+    g = parse_graph6("L||^rf}z~||~z~")
+    start = time.perf_counter()
+    _, sizes, _ = _symmetry_plan.__wrapped__(g, None)
+    assert time.perf_counter() - start < 0.15
+    assert math.prod(sizes) == 288

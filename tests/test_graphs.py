@@ -1,3 +1,5 @@
+import re
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,45 @@ class TestEdgeList:
     def test_duplicates_collapse(self):
         g = parse_edge_list("0 1\n1 0\n0 1")
         assert g.m == 1
+
+
+class TestInputChecks:
+    """Each refusal names what is wrong with the input."""
+
+    @pytest.mark.parametrize("edge, error, message", [
+        ((1, 1), MalformedInput, "loop at vertex 1"),
+        ((0, 3), InvalidVertex, "edge (0, 3) outside 0..2"),
+        ((-1, 2), InvalidVertex, "edge (-1, 2) outside 0..2"),
+        ((2, 0), MalformedInput, "edge (2, 0) not normalized"),
+    ])
+    def test_graph_refuses_bad_edges(self, edge, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            Graph(3, frozenset({edge}))
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty graph6 string"),
+        ("  \n", "empty graph6 string"),
+        ("!", "bad graph6 header byte 33"),
+        ("\x7fB", "bad graph6 header byte 127"),
+    ])
+    def test_graph6_refuses_bad_headers(self, text, message):
+        with pytest.raises(MalformedInput, match=f"^{re.escape(message)}$"):
+            parse_graph6(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("n=x\n0 1", "bad vertex count line 'n=x'"),
+        ("n=-1", "negative vertex count"),
+        ("0 1\n0 1 2", "expected 'u v', got '0 1 2'"),
+        ("0 1\n-1 2", "negative vertex id in '-1 2'"),
+    ])
+    def test_edge_list_refuses_bad_lines(self, text, message):
+        with pytest.raises(MalformedInput, match=f"^{re.escape(message)}$"):
+            parse_edge_list(text)
+
+    def test_cycle_needs_three_vertices(self):
+        with pytest.raises(MalformedInput, match="^cycle needs at least 3 vertices$"):
+            cycle_graph(2)
+        assert cycle_graph(3) == complete_graph(3)
 
 
 class TestInducedSubgraph:

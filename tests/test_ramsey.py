@@ -126,6 +126,10 @@ class TestIsRamsey:
         with pytest.raises(ParamOutOfRange):
             is_ramsey(complete_graph(3), complete_graph(2), 0)
 
+    def test_empty_pattern_rejected(self):
+        with pytest.raises(UnsupportedPattern, match="^pattern must have at least one vertex$"):
+            is_ramsey(complete_graph(3), empty_graph(0), 2)
+
 
 class TestEpsDense:
     def test_complete_graph_dense(self):
@@ -146,6 +150,10 @@ class TestEpsDense:
             is_eps_dense(complete_graph(5), complete_graph(2), 0.1)
         with pytest.raises(ParamOutOfRange):
             is_eps_dense(complete_graph(5), complete_graph(2), 1.5)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ParamOutOfRange, match="^unknown mode 'bogus'$"):
+            is_eps_dense(complete_graph(5), complete_graph(2), 0.5, mode="bogus")
 
     def test_exact_cap(self):
         with pytest.raises(SubsetSpaceTooLarge):
