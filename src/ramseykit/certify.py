@@ -28,13 +28,13 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
-from itertools import islice
 
 from .degeneracy import ForestDecomposition, forest_decomposition
 from .embed import (
     Copy,
     DEFAULT_COPY_LIMIT,
     Embedding,
+    _distinct_copies,
     _iter_bits,
     _symmetry_plan,
     enumerate_copies,
@@ -111,40 +111,27 @@ def _past_limit(v: int, limit: int | None) -> EnumerationTruncated:
     return EnumerationTruncated(f"pinned copy enumeration at vertex {v} exceeded {limit} copies")
 
 
-def _pinned_copies(
-    g: Graph, pattern: Graph, role: int, v: int, limit: int | None, within: int | None
-) -> tuple[list[tuple[Copy, Embedding]], list[int]]:
-    """The pattern copies with v in the given role inside the vertex mask
-    `within`, in key order, as (copy, embedding) pairs and as vertex masks
-    without v; raises EnumerationTruncated past `limit` copies."""
-    pairs, truncated = enumerate_copies_with_witness(
-        pattern, g, pin=(role, v), limit=limit, within=within
-    )
-    if truncated:
-        raise _past_limit(v, limit)
-    return pairs, [sum(1 << w for w in copy.vertices if w != v) for copy, _ in pairs]
-
-
 def _level_copies(
     g: Graph, pattern: Graph, role: int, orbit: tuple[int, ...], limit: int | None, active: int
 ) -> dict[int, list[int]]:
-    """_pinned_copies(g, pattern, role, v, limit, active)[1] for every
-    active v, in id order, from one unpinned enumeration: a copy sits at v
-    in the role exactly when its first embedding maps a member of the
-    role's orbit to v.  A copy lands at len(orbit) vertices, so past
-    limit * |active| / len(orbit) copies some vertex is past the limit;
-    the stream stops there, and the pinned search names the first."""
-    stream = enumerate_embeddings(pattern, g, within=active, one_per_copy=True)
-    if limit is not None:
-        cap = limit * active.bit_count() // len(orbit)
-        stream = islice(stream, cap + 1)
+    """For every active v, in id order, the vertex masks without v of the
+    pattern copies inside `active` with v in the given role, in key order,
+    from one unpinned enumeration: a copy sits at v in the role exactly
+    when its first embedding maps a member of the role's orbit to v.  A
+    copy lands at len(orbit) vertices, so past limit * |active| / len(orbit)
+    copies some vertex is past the limit; the enumeration stops there, and
+    pinned enumerations name the first such vertex."""
+    cap = None if limit is None else limit * active.bit_count() // len(orbit)
+    firsts, truncated = _distinct_copies(pattern, g, None, cap, active)
+    if truncated:
+        v = next(
+            v for v in _iter_bits(active)
+            if _distinct_copies(pattern, g, (role, v), limit, active)[1]
+        )
+        raise _past_limit(v, limit)
     # copies in key order, as vertex tuples and role maps; copies on one
     # vertex set have one mask, so ties need no edge order
-    copies = sorted((tuple(sorted(emb.map)), emb.map) for emb in stream)
-    if limit is not None and len(copies) > cap:
-        for v in _iter_bits(active):
-            _pinned_copies(g, pattern, role, v, limit, active)
-        raise AssertionError("copies past the cap, yet no vertex past the copy limit")
+    copies = sorted((tuple(sorted(emb.map)), emb.map) for emb in firsts)
     lists: dict[int, list[int]] = {v: [] for v in _iter_bits(active)}
     for verts, m in copies:
         mask = sum(1 << w for w in verts)
@@ -190,12 +177,16 @@ def star_family_at_least(
 ) -> tuple[bool, StarFamily | None]:
     """Decide whether t pattern copies sit at v in the given role, pairwise
     intersecting only at v, inside the vertex mask `within` (default: all
-    of g).  Exact branch-and-bound packing over the pinned copies; a
-    witness family is returned on success."""
+    of g).  Exact branch-and-bound packing over the pinned copies in key
+    order, read from enumerate_copies_with_witness; raises
+    EnumerationTruncated past `limit` of them.  A witness family is
+    returned on success."""
     if t < 1:
         raise ParamOutOfRange("target family size must be at least 1")
-    pairs, masks = _pinned_copies(g, pattern, role, v, limit, within)
-    chosen = _pack(masks, t)
+    pairs, truncated = enumerate_copies_with_witness(pattern, g, (role, v), limit, within)
+    if truncated:
+        raise _past_limit(v, limit)
+    chosen = _pack([sum(1 << w for w in c.vertices if w != v) for c, _ in pairs], t)
     if chosen is None:
         return False, None
     picked = [pairs[j] for j in chosen]

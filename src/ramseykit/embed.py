@@ -206,22 +206,6 @@ def _assignments(plan: tuple, host: Graph, within: int, prefix: tuple = (), smal
         untried[i] = mask
 
 
-def _checked_mask(pattern: Graph, host: Graph, pin, within: int | None) -> int:
-    """The argument checks of every search entry point; returns the host
-    vertex mask to search, all of the host when within is None."""
-    hn = host.n
-    if within is None:
-        within = (1 << hn) - 1
-    elif within >> hn:  # also catches negative masks
-        raise InvalidVertex(f"vertex mask reaches outside 0..{hn - 1}")
-    if pin is not None:
-        if not 0 <= pin[0] < pattern.n:
-            raise InvalidVertex(f"pin role {pin[0]} outside pattern")
-        if not 0 <= pin[1] < hn:
-            raise InvalidVertex(f"pin vertex {pin[1]} outside host")
-    return within
-
-
 def enumerate_embeddings(
     pattern: Graph,
     host: Graph,
@@ -238,8 +222,16 @@ def enumerate_embeddings(
     one_per_copy, only the first embedding of each copy is yielded: the
     same stream with repeats of an earlier image removed.
     """
-    pn = pattern.n
-    within = _checked_mask(pattern, host, pin, within)
+    pn, hn = pattern.n, host.n
+    if within is None:
+        within = (1 << hn) - 1
+    elif within >> hn:  # also catches negative masks
+        raise InvalidVertex(f"vertex mask reaches outside 0..{hn - 1}")
+    if pin is not None:
+        if not 0 <= pin[0] < pn:
+            raise InvalidVertex(f"pin role {pin[0]} outside pattern")
+        if not 0 <= pin[1] < hn:
+            raise InvalidVertex(f"pin vertex {pin[1]} outside host")
     if pn > within.bit_count():
         return
     first = None if pin is None else pin[0]
@@ -255,13 +247,6 @@ def enumerate_embeddings(
             (m[u], m[v]) if m[u] < m[v] else (m[v], m[u]) for u, v in pattern.edges
         )
         yield Embedding(pn, tuple(m), frozenset(m), image_edges)
-
-
-def _find_first_plan(pattern: Graph) -> tuple:
-    """The unpinned search plan of a find-first search, and its symmetry
-    constraints up to SYMMETRY_CAP pattern vertices (None above)."""
-    smaller = _symmetry_plan(pattern, None)[0] if pattern.n <= SYMMETRY_CAP else None
-    return _search_plan(pattern, None), smaller
 
 
 def find_embedding(
@@ -280,27 +265,25 @@ def contains_copy(pattern: Graph, host: Graph, within: int | None = None) -> boo
 
     within, a bitmask of host vertices, restricts the search to the
     subgraph they induce, as in enumerate_embeddings.  The answer is
-    find_embedding(...) is not None, found without building an Embedding.
+    find_embedding(...) is not None: subset_hits on the one mask, which
+    builds no Embedding.
     """
-    within = _checked_mask(pattern, host, None, within)
-    if pattern.n > within.bit_count():
-        return False
-    plan, smaller = _find_first_plan(pattern)
-    return next(_assignments(plan, host, within, (), smaller), None) is not None
+    return next(subset_hits(pattern, host, [(1 << host.n) - 1 if within is None else within]))
 
 
 def subset_hits(pattern: Graph, host: Graph, masks):
     """Yield, for each host vertex mask in masks, whether the subgraph it
-    induces holds a copy of pattern: contains_copy(pattern, host, mask),
-    mask by mask.
+    induces holds a copy of pattern: find_embedding(pattern, host,
+    within=mask) is not None, mask by mask.
 
     The vertex masks of the MEMO_COPIES copies used most recently are kept,
     most recent first.  A mask holding one of them is answered True without
     a search; otherwise the find-first search runs inside the mask and a
     copy it finds goes to the front.
     """
-    plan, smaller = _find_first_plan(pattern)
     pn, hn = pattern.n, host.n
+    plan = _search_plan(pattern, None)
+    smaller = _symmetry_plan(pattern, None)[0] if pn <= SYMMETRY_CAP else None
     found: list[int] = []
     for mask in masks:
         if mask >> hn:  # also catches negative masks

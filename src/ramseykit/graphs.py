@@ -201,7 +201,8 @@ def write_graph6(g: Graph) -> str:
 # --- edge list ------------------------------------------------------------
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse newline-delimited "u v" pairs, optionally led by "n=<count>"."""
+    """Parse newline-delimited "u v" pairs, optionally led by "n=<count>"
+    (spaces allowed around the "=")."""
     declared = None
     edges = set()
     max_id = -1
@@ -210,9 +211,9 @@ def parse_edge_list(text: str) -> Graph:
     for i, raw in enumerate(lines):
         if raw.strip():
             first = raw.strip()
-            if first.startswith("n="):
+            if first.replace(" ", "").startswith("n="):
                 try:
-                    declared = int(first[2:])
+                    declared = int(first.partition("=")[2])
                 except ValueError as exc:
                     raise MalformedInput(f"bad vertex count line {first!r}") from exc
                 if declared < 0:

@@ -65,8 +65,8 @@ def copy_hypergraph(
     witnesses: dict[frozenset[int], Copy] = {}
     for copy in enum.copies:
         witnesses.setdefault(copy.vertices, copy)
-    hyperedges = sorted(witnesses, key=lambda s: tuple(sorted(s)))
-    return CopyHypergraph(g.n, hyperedges, witnesses)
+    # copies come in key order, which starts with the sorted vertex tuple
+    return CopyHypergraph(g.n, list(witnesses), witnesses)
 
 
 def is_ramsey(

@@ -21,12 +21,18 @@ from ramseykit.certify import (
     verify_coloring,
 )
 from ramseykit.embed import (
+    Embedding,
     _symmetry_plan,
     contains_copy,
     enumerate_copies,
     enumerate_copies_with_witness,
 )
-from ramseykit.errors import EnumerationTruncated, NotDegenerate, ParamOutOfRange
+from ramseykit.errors import (
+    CertificateError,
+    EnumerationTruncated,
+    NotDegenerate,
+    ParamOutOfRange,
+)
 from ramseykit.graphs import (
     Graph,
     VertexColoring,
@@ -484,21 +490,21 @@ def test_flower_colors_u_inside_u():
 
 
 def test_one_pinned_enumeration_per_vertex_and_level(monkeypatch):
-    """Each glued level makes one unpinned enumeration in the host, and at
-    the default copy limit no pinned one: the per-vertex lists are read off
-    that enumeration through the role's orbit."""
-    real_stream, real_pinned = certify.enumerate_embeddings, certify.enumerate_copies_with_witness
+    """Each glued level makes one unpinned copy enumeration in the host,
+    and at the default copy limit no pinned one: the per-vertex lists are
+    read off that enumeration through the role's orbit."""
+    real_copies, real_pinned = certify._distinct_copies, certify.enumerate_copies_with_witness
     streams, pinned = [], []
 
-    def counting_stream(pattern, host, *args, **kwargs):
-        streams.append((host, args, kwargs))
-        return real_stream(pattern, host, *args, **kwargs)
+    def counting_copies(pattern, host, pin, limit, within):
+        streams.append((host, pin))
+        return real_copies(pattern, host, pin, limit, within)
 
     def counting_pinned(*args, **kwargs):
-        pinned.append(kwargs["pin"])
+        pinned.append(args)
         return real_pinned(*args, **kwargs)
 
-    monkeypatch.setattr(certify, "enumerate_embeddings", counting_stream)
+    monkeypatch.setattr(certify, "_distinct_copies", counting_copies)
     monkeypatch.setattr(certify, "enumerate_copies_with_witness", counting_pinned)
     cases = [
         (host, pattern, target)
@@ -511,10 +517,8 @@ def test_one_pinned_enumeration_per_vertex_and_level(monkeypatch):
         streams.clear()
         cert = embed_or_color(host, pattern, target)
         levels = [s for s in cert.levels if s.case == "glued"]
-        in_host = [(args, kwargs) for h, args, kwargs in streams if h is host]
-        assert len(in_host) == len(levels)
-        for args, kwargs in in_host:
-            assert not args and kwargs.get("pin") is None and kwargs["one_per_copy"]
+        in_host = [pin for h, pin in streams if h is host]
+        assert in_host == [None] * len(levels)
         glued += len(levels)
         u_below_active += sum(s.u_size < s.host_size for s in levels)
     assert glued and u_below_active
@@ -529,10 +533,20 @@ def _outcome(f, *args):
 
 
 def _pinned_lists(host, pattern, role, limit, within):
-    return {
-        v: certify._pinned_copies(host, pattern, role, v, limit, within)[1]
-        for v in certify._iter_bits(within)
-    }
+    """Per active vertex, the vertex masks without v of its pinned copies
+    in key order, or the truncation message of the first vertex past the
+    limit."""
+    lists = {}
+    for v in certify._iter_bits(within):
+        pairs, truncated = enumerate_copies_with_witness(
+            pattern, host, pin=(role, v), limit=limit, within=within
+        )
+        if truncated:
+            raise EnumerationTruncated(
+                f"pinned copy enumeration at vertex {v} exceeded {limit} copies"
+            )
+        lists[v] = [sum(1 << w for w in copy.vertices if w != v) for copy, _ in pairs]
+    return lists
 
 
 def test_level_lists_match_pinned_enumerations():
@@ -630,6 +644,47 @@ def test_supplied_decomposition_missing_a_vertex_is_refused():
         embed_or_color(complete_graph(4), k3, target, decomposition=dec)
 
 
+class TestCertificateRechecks:
+    """embed_or_color re-checks each certificate before returning it; a
+    faulty search or colouring raises CertificateError, not a wrong answer."""
+
+    def test_embedding_onto_a_non_edge(self, monkeypatch):
+        # the identity on five vertices sends every bowtie edge onto a non-edge
+        wrong = Embedding(5, (0, 1, 2, 3, 4), frozenset(range(5)), frozenset())
+        monkeypatch.setattr(certify, "find_embedding", lambda *args, **kwargs: wrong)
+        with pytest.raises(
+            CertificateError, match="^embedding certificate failed verification$"
+        ):
+            embed_or_color(empty_graph(5), complete_graph(3), bowtie())
+
+    def test_coloring_missing_a_vertex(self, monkeypatch):
+        monkeypatch.setattr(certify, "_solve", lambda *args: ({0: 0, 1: 0}, []))
+        with pytest.raises(
+            CertificateError, match="^coloring certificate leaves a vertex uncolored$"
+        ):
+            embed_or_color(path_graph(3), complete_graph(3), bowtie())
+
+    def test_coloring_with_a_monochromatic_triangle(self, monkeypatch):
+        triangle, k3 = complete_graph(3), complete_graph(3)
+        monkeypatch.setattr(certify, "_solve", lambda *args: ({0: 0, 1: 0, 2: 0}, []))
+        ok, witness = verify_coloring(triangle, k3, VertexColoring((0, 0, 0)))
+        assert not ok and witness.vertices == {0, 1, 2}
+        message = f"coloring certificate has a monochromatic copy: {witness}"
+        with pytest.raises(CertificateError) as caught:
+            embed_or_color(triangle, k3, bowtie())
+        assert str(caught.value) == message
+
+    def test_coloring_past_its_palette_bound(self, monkeypatch):
+        # four disjoint edges hold no P3; eight colours pass the bound of 6
+        matching = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+        assert palette_bound(2, 3, 2) == 6
+        monkeypatch.setattr(certify, "_solve", lambda *args: ({v: v for v in range(8)}, []))
+        with pytest.raises(
+            CertificateError, match="^coloring certificate exceeds its palette bound$"
+        ):
+            embed_or_color(matching, complete_graph(2), path_graph(3))
+
+
 OPTIMIZED_CHECKS = """
 import sys
 from ramseykit import certify, ramsey
@@ -639,6 +694,13 @@ from ramseykit.graphs import Graph, VertexColoring, complete_graph
 if __debug__:
     sys.exit("assertions are enabled")
 bowtie = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+solve, certify._solve = certify._solve, lambda *args: ({v: v for v in range(8)}, [])
+matching = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+try:
+    certify.embed_or_color(matching, complete_graph(2), Graph.from_edges(3, [(0, 1), (1, 2)]))
+except CertificateError as exc:
+    print("palette" if str(exc) == "coloring certificate exceeds its palette bound" else exc)
+certify._solve = solve
 certify.verify_coloring = lambda *args: (False, None)
 try:
     certify.embed_or_color(complete_graph(4), complete_graph(3), bowtie)
@@ -661,4 +723,4 @@ def test_certificate_checks_survive_optimized_mode():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["certify", "ramsey"]
+    assert done.stdout.split() == ["palette", "certify", "ramsey"]

@@ -266,6 +266,14 @@ class TestInputHandling:
         code, doc = run_json(["blocks", "--graph", f"@{path}"])
         assert code == 0 and doc["result"]["cut_vertices"] == [2]
 
+    def test_file_loading_edge_list_with_spaced_count(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("n = 5\n0 1\n1 2\n")
+        code, doc = run_json(["blocks", "--graph", f"@{path}"])
+        assert code == 0
+        assert doc["result"]["cut_vertices"] == [1]
+        assert doc["result"]["isolated_vertices"] == [3, 4]
+
     def test_file_loading_with_header(self, tmp_path):
         path = tmp_path / "g.g6"
         path.write_text(">>graph6<<" + K4_G6 + "\n")

@@ -176,6 +176,13 @@ class TestEdgeList:
         g = parse_edge_list("0 1\n1 0\n0 1")
         assert g.m == 1
 
+    @pytest.mark.parametrize("header", ["n = 5", "n =5", "n= 5", " n = 5 "])
+    def test_declared_count_with_spaces(self, header):
+        assert parse_edge_list(f"{header}\n0 1\n1 2") == parse_edge_list("n=5\n0 1\n1 2")
+
+    def test_blank_lines_between_edges(self):
+        assert parse_edge_list("n=4\n0 1\n\n  \n1 2\n") == parse_edge_list("n=4\n0 1\n1 2")
+
 
 class TestInputChecks:
     """Each refusal names what is wrong with the input."""
@@ -203,6 +210,8 @@ class TestInputChecks:
     @pytest.mark.parametrize("text, message", [
         ("n=x\n0 1", "bad vertex count line 'n=x'"),
         ("n=-1", "negative vertex count"),
+        ("n = -1", "negative vertex count"),
+        ("n = 1 2\n0 1", "bad vertex count line 'n = 1 2'"),
         ("0 1\n0 1 2", "expected 'u v', got '0 1 2'"),
         ("0 1\n-1 2", "negative vertex id in '-1 2'"),
     ])

@@ -43,6 +43,14 @@ class TestCopyHypergraph:
         hg = copy_hypergraph(complete_graph(4), cycle_graph(4))
         assert len(hg.hyperedges) == 1
         assert len(hg.witnesses) == 1
+        sizes = set()
+        for host in random_graphs(8, 20, seed=4):
+            hg = copy_hypergraph(host, cycle_graph(4))
+            copies = embed.enumerate_copies(cycle_graph(4), host).copies
+            assert hg.hyperedges == sorted({c.vertices for c in copies}, key=sorted)
+            assert list(hg.witnesses) == hg.hyperedges
+            sizes.add(len(hg.hyperedges))
+        assert max(sizes) > 1
 
     def test_truncation_raises(self):
         # K5 holds 10 triangles, past a limit of 3
