@@ -17,7 +17,7 @@ from .blocks import block_decomposition
 from .degeneracy import DEFAULT_NODE_BUDGET, forest_decomposition, is_degenerate
 from .embed import DEFAULT_COPY_LIMIT
 from .errors import EnumerationTruncated, MalformedInput, ParamOutOfRange, RamseykitError
-from .graphs import Graph, parse_edge_list, parse_graph6, write_graph6
+from .graphs import Graph, is_count_header, parse_edge_list, parse_graph6, write_graph6
 from .report import envelope, to_json, to_text
 
 
@@ -40,7 +40,7 @@ def _load_graph(spec: str) -> Graph:
         if stripped.startswith(">>graph6<<"):
             return parse_graph6(stripped.splitlines()[0])
         first = stripped.splitlines()[0].strip() if stripped else ""
-        if first[:1].isdigit() or first.replace(" ", "").startswith("n="):
+        if first[:1].isdigit() or is_count_header(first):
             return parse_edge_list(text)
         return parse_graph6(first)
     return parse_graph6(spec)

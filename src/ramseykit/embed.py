@@ -282,8 +282,7 @@ def subset_hits(pattern: Graph, host: Graph, masks):
     copy it finds goes to the front.
     """
     pn, hn = pattern.n, host.n
-    plan = _search_plan(pattern, None)
-    smaller = _symmetry_plan(pattern, None)[0] if pn <= SYMMETRY_CAP else None
+    plan = smaller = None  # built by the first mask that reaches the search
     found: list[int] = []
     for mask in masks:
         if mask >> hn:  # also catches negative masks
@@ -296,6 +295,9 @@ def subset_hits(pattern: Graph, host: Graph, masks):
                 found.remove(c)
                 break
         else:
+            if plan is None:
+                plan = _search_plan(pattern, None)
+                smaller = _symmetry_plan(pattern, None)[0] if pn <= SYMMETRY_CAP else None
             assignment = next(_assignments(plan, host, mask, (), smaller), None)
             if assignment is None:
                 yield False

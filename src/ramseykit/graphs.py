@@ -200,6 +200,12 @@ def write_graph6(g: Graph) -> str:
 
 # --- edge list ------------------------------------------------------------
 
+def is_count_header(line: str) -> bool:
+    """True iff line is an edge list's "n=<count>" header, spaces allowed
+    around the "="."""
+    return line.replace(" ", "").startswith("n=")
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse newline-delimited "u v" pairs, optionally led by "n=<count>"
     (spaces allowed around the "=")."""
@@ -211,7 +217,7 @@ def parse_edge_list(text: str) -> Graph:
     for i, raw in enumerate(lines):
         if raw.strip():
             first = raw.strip()
-            if first.replace(" ", "").startswith("n="):
+            if is_count_header(first):
                 try:
                     declared = int(first.partition("=")[2])
                 except ValueError as exc:

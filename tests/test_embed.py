@@ -139,6 +139,17 @@ class TestContainsCopy:
         assert not contains_copy(k3, host, within=0)
         assert contains_copy(k3, host, within=0b100011)
 
+    def test_pattern_larger_than_mask_builds_no_plan(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a plan was built for a mask too small to search")
+
+        monkeypatch.setattr(embed, "_search_plan", forbidden)
+        monkeypatch.setattr(embed, "_symmetry_plan", forbidden)
+        big, host = cycle_graph(12), complete_graph(6)
+        assert not contains_copy(big, host)
+        assert not contains_copy(big, host, within=0b111)
+        assert list(subset_hits(big, host, [0, 0b111111, 0b101])) == [False] * 3
+
     def test_mask_outside_host_raises(self):
         k2, host = complete_graph(2), complete_graph(4)
         for mask in (1 << 4, 0b11111, -1):

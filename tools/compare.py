@@ -1,14 +1,15 @@
 """Pair runner: the benchmark at a base revision against this checkout.
 
-    python3 tools/compare.py 50b630a --label baseline --pairs 10 --seconds 8
+    python3 tools/compare.py 50b630a --label baseline --pairs 10
 
 The base revision is exported with `git archive` into a temporary
 directory, which is removed afterwards; the other side is the working tree
 this file sits in.  Each side runs its own unchanged `perfbench/run.py
 --trace 0`, which imports ramseykit from the src/ next to it.  Every pair
-runs both sides once on one seed, seeds counting up from --first-seed, and
-the side that runs first alternates from pair to pair, so the machine's
-drift falls on both sides alike.  One run at a time, so two CPUs suffice.
+runs both sides once on one seed, seeds counting up from 1, and the side
+that runs first alternates from pair to pair, so the machine's drift falls
+on both sides alike.  The workloads and the run length are BENCHMARK.json's
+(`workloads`, `run_seconds`).  One run at a time, so two CPUs suffice.
 
 Writes BENCH_<label>.json at the repository root: per workload, every
 pair's end-to-end metrics, failure counts and correctness flags; per
@@ -30,7 +31,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("desk", "construct", "count", "covers")
 SIDES = ("base", "head")
 
 
@@ -98,36 +98,34 @@ def main(argv=None) -> int:
     parser.add_argument("base", help="git revision to compare against")
     parser.add_argument("--label", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=8.0)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    better = {m["name"]: m["better"] for m in json.loads(
-        (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     doc = {
         "label": args.label,
         "base": {"rev": git("rev-parse", f"{args.base}^{{commit}}")},
         "head": {"rev": git("rev-parse", "HEAD"), "uncommitted_changes": dirty},
         "command": "perfbench/run.py --trace 0",
-        "seconds": args.seconds,
+        "seconds": seconds,
         "pairs": args.pairs,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="ramseykit-base-") as tmp:
         export(doc["base"]["rev"], Path(tmp))
         checkouts = {"base": Path(tmp), "head": ROOT}
-        for workload in args.workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
             for k in range(args.pairs):
-                seed = args.first_seed + k
+                seed = k + 1
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
+                    pair[side] = run_once(checkouts[side], workload, seed, seconds)
                 # the archived side has no .git, so its machine line reads
                 # git "unknown"; both revisions are recorded above
                 doc.setdefault("machine", pair["head"].pop("machine"))
