@@ -207,8 +207,7 @@ def is_count_header(line: str) -> bool:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse newline-delimited "u v" pairs, optionally led by "n=<count>"
-    (spaces allowed around the "=")."""
+    """Parse newline-delimited "u v" pairs, optionally led by "n=<count>"."""
     declared = None
     edges = set()
     max_id = -1
