@@ -1,12 +1,14 @@
 """Subgraph isomorphism: enumerate, count, and pin copies of a pattern.
 
 Backtracking, on an explicit stack, over a connected pattern ordering that
-maximizes back-edges, with bitmask candidate filtering on the host.  A Copy
-is an image subgraph, identified by its (vertex set, edge set) pair.  The
-default embedding stream holds as many embeddings per copy as the pattern
-has automorphisms; with one_per_copy, order constraints from the pattern's
-stabiliser chain (Grochow & Kellis, RECOMB 2007) let only the first of them
-through, so each copy is generated once.
+maximizes back-edges, with bitmask candidate filtering on the host and a
+forward check of the plan's last position (Haralick & Elliott, Artificial
+Intelligence 14, 1980) that cuts only subtrees without a leaf, so no stream
+changes.  A Copy is an image subgraph, identified by its (vertex set, edge
+set) pair.  The default embedding stream holds as many embeddings per copy
+as the pattern has automorphisms; with one_per_copy, order constraints
+from the pattern's stabiliser chain (Grochow & Kellis, RECOMB 2007) let
+only the first of them through, so each copy is generated once.
 
 Find-first searches (find_embedding, contains_copy, subset_hits) use the
 same constraints for patterns of up to SYMMETRY_CAP vertices.  Their
@@ -158,10 +160,15 @@ def _assignments(plan: tuple, host: Graph, within: int, prefix: tuple = (), smal
     positions whose image must be below position i's.  Yields the one
     assignment list, overwritten as the search goes on.
 
-    An explicit stack: position i keeps its untried candidates and the host
-    vertices taken before it.  A candidate's degree counts its neighbours
-    inside the mask, so the filter matches the induced subgraph's; it is
-    taken only for the candidates tried.
+    An explicit stack: position i keeps its untried candidates, the host
+    vertices taken before it, and the closing mask: the last position's
+    candidates left by the positions before it.  A position narrows that
+    mask when the last pattern vertex neighbours its own or must sit above
+    its image, and a host vertex that would empty it is refused.  The last
+    position tries the closing mask minus the used vertices.  A candidate's
+    degree counts its neighbours inside the mask, so the filter matches the
+    induced subgraph's; it is taken only for the candidates tried, and not
+    at the last position, whose pattern neighbours are all placed.
     """
     order, placed_nbrs, pdeg = plan
     pn = len(order)
@@ -179,6 +186,13 @@ def _assignments(plan: tuple, host: Graph, within: int, prefix: tuple = (), smal
     used = [0] * pn
     untried[0] = start[0]
     i, last = 0, pn - 1
+    closing = [start[last]] * pn
+    adjacent = [False] * pn
+    for j in placed_nbrs[last]:
+        adjacent[j] = True
+    below = [False] * pn
+    for j in smaller[last]:
+        below[j] = True
     while True:
         mask = untried[i]
         if not mask:
@@ -189,15 +203,27 @@ def _assignments(plan: tuple, host: Graph, within: int, prefix: tuple = (), smal
         low = mask & -mask
         untried[i] = mask ^ low
         hv = low.bit_length() - 1
-        if (hbits[hv] & within).bit_count() < pdeg[i]:
-            continue
         assignment[i] = hv
         if i == last:
             yield assignment
             continue
+        nbrs = hbits[hv]
+        reach = closing[i]
+        if adjacent[i]:
+            reach &= nbrs
+        if below[i]:
+            reach &= -2 << hv
+        if not reach:
+            continue
+        if (nbrs & within).bit_count() < pdeg[i]:
+            continue
         taken = used[i] | low
         i += 1
         used[i] = taken
+        closing[i] = reach
+        if i == last:
+            untried[i] = reach & ~taken
+            continue
         mask = start[i] & ~taken
         for j in placed_nbrs[i]:
             mask &= hbits[assignment[j]]

@@ -482,6 +482,69 @@ def test_one_per_copy_against_the_copy_oracle(pattern):
         assert set(keys) == copies_oracle(pattern, host)
 
 
+def test_streams_are_the_sorted_oracle():
+    """The default stream is every edge-preserving injection that keeps the
+    pin and the mask, in lexicographic order of host ids by plan position;
+    the one_per_copy stream is that stream with repeated images removed.
+    The corpus holds patterns whose last plan vertex has two or more placed
+    neighbours, pinned plans, and masks that drop the last position's image
+    of an otherwise kept embedding, which the forward check must refuse."""
+    rng = random.Random(23)
+
+    def draw(lo: int, hi: int) -> Graph:
+        n = rng.randint(lo, hi)
+        return random_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
+
+    closing_nbrs = pinned = closing_dropped = 0
+    named = PATTERNS + [bowtie(), cycle_graph(5)]
+    for case in range(400):
+        pattern = rng.choice(named) if case % 2 else draw(1, 5)
+        host = draw(0, 7)
+        mask = rng.getrandbits(host.n) if rng.random() < 0.5 else None
+        pin = None
+        if host.n and rng.random() < 0.5:
+            pin = (rng.randrange(pattern.n), rng.randrange(host.n))
+        order, placed_nbrs, _ = _search_plan(pattern, None if pin is None else pin[0])
+        maps = [p for p in embeddings_oracle(pattern, host) if pin is None or p[pin[0]] == pin[1]]
+        outside = [[v for v in p if mask is not None and not mask >> v & 1] for p in maps]
+        kept = [p for p, out in zip(maps, outside) if not out]
+        kept.sort(key=lambda p: [p[v] for v in order])
+        stream = list(enumerate_embeddings(pattern, host, pin, mask))
+        assert [e.map for e in stream] == kept
+        once = enumerate_embeddings(pattern, host, pin, mask, one_per_copy=True)
+        assert list(once) == list(first_of_each_copy(stream))
+        closing_nbrs += len(placed_nbrs[-1]) >= 2
+        pinned += pin is not None
+        closing_dropped += any(out == [p[order[-1]]] for p, out in zip(maps, outside))
+    assert closing_nbrs >= 100 and pinned >= 150 and closing_dropped >= 30
+
+
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+def test_forward_check_reads_fewer_adjacency_masks():
+    """The Petersen graph has girth 5, so it holds no C4.  The search reads
+    the host's adjacency masks 50 times to show it; without the forward
+    check of the last position it read them 116 times, since each path of
+    three vertices that the order constraints allow was extended to a
+    fourth position that had no candidate."""
+
+    class CountingReads(tuple):
+        reads = 0
+
+        def __getitem__(self, index):
+            CountingReads.reads += 1
+            return tuple.__getitem__(self, index)
+
+    host = petersen()
+    host.__dict__["adj_bits"] = CountingReads(host.adj_bits)
+    assert count_copies(cycle_graph(4), host) == (0, False)
+    assert 0 < CountingReads.reads < 116
+
+
 LARGE_SYMMETRY = """
 from ramseykit.embed import automorphism_count, count_copies
 from ramseykit.graphs import complete_graph
