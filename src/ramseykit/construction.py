@@ -10,6 +10,9 @@ expected time instead of O(T).  The injections are exactly the ones
 numpy's Generator(PCG64(seed)).choice(n, a, replace=False) would return
 call by call, replayed in Python ints from one bulk read of the
 generator's output (ramseykit._npexact), as are the density trials' sets.
+The count and construct trials keep the copies as (vertex set, edge set)
+pairs and read only their number and union, which is complete once every
+copy is drawn; only sample_copy_hypergraph builds the canonical Copy list.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .graphs import (
     Edge,
     Graph,
     complete_graph,
+    empty_graph,
     induced_subgraph,
     subgraph_from_sets,
     write_graph6,
@@ -150,41 +154,57 @@ def _base_images(pattern: Graph) -> list[frozenset[Edge]]:
     return [c.edges for c in enumerate_copies(pattern, complete_graph(pattern.n), limit=None).copies]
 
 
-def sample_copy_hypergraph(params: ConstructionParams, pattern: Graph) -> CopySample:
-    """Draw the binomial copy hypergraph for the given parameters."""
+def _pair(injection, edges) -> tuple:
+    """The copy that injection makes of edges, as (vertex set, edge set)."""
+    return frozenset(injection), frozenset(
+        (injection[u], injection[v]) if injection[u] < injection[v]
+        else (injection[v], injection[u])
+        for u, v in edges
+    )
+
+
+def _all_pairs(n: int, pattern: Graph):
+    """Every pattern copy on [n], in combinations order, made on demand."""
+    base = _base_images(pattern)
+    for comb in combinations(range(n), pattern.n):
+        for image in base:
+            yield _pair(comb, image)
+
+
+def _sample_pairs(params: ConstructionParams, pattern: Graph) -> tuple:
+    """T, K and the K distinct sampled copies as (vertex set, edge set)
+    pairs in draw order.  At p == 1 every copy is drawn and the pairs are
+    listed lazily, so a caller that needs only their union lists none."""
     if pattern.n != params.a:
         raise ParamOutOfRange("pattern order disagrees with params")
     n, a, p = params.n, params.a, params.p
     T = total_copy_count(n, pattern)
-    rng = np.random.Generator(np.random.PCG64(params.seed & _SEED_MASK))
     if p == 0.0 or T == 0:
-        return CopySample([], params, T, 0)
+        return T, 0, []
     if p == 1.0:
-        base = _base_images(pattern)
-        copies = []
-        for comb in combinations(range(n), a):
-            for image in base:
-                edges = frozenset(
-                    (comb[u], comb[v]) if comb[u] < comb[v] else (comb[v], comb[u])
-                    for u, v in image
-                )
-                copies.append(Copy(frozenset(comb), edges))
-        assert len(copies) == T
-        copies.sort(key=Copy.key)
-        return CopySample(copies, params, T, T)
+        return T, T, _all_pairs(n, pattern)
+    rng = np.random.Generator(np.random.PCG64(params.seed & _SEED_MASK))
     K = int(rng.binomial(T, p))
-    chosen: dict[tuple, Copy] = {}
+    chosen: dict[tuple, None] = {}
     injections = choices(rng, n, a)
     while len(chosen) < K:
-        injection = next(injections)
-        edges = frozenset(
-            (injection[u], injection[v]) if injection[u] < injection[v]
-            else (injection[v], injection[u])
-            for u, v in pattern.edges
-        )
-        copy = Copy(frozenset(injection), edges)
-        chosen.setdefault(copy.key(), copy)
-    copies = [chosen[k] for k in sorted(chosen)]
+        chosen[_pair(next(injections), pattern.edges)] = None
+    return T, K, list(chosen)
+
+
+def _sampled_union(params: ConstructionParams, pattern: Graph) -> tuple[int, Graph]:
+    """K and the union of the sampled copies; once every copy is drawn it is
+    complete (edgeless for an edgeless pattern) and no copy is listed."""
+    T, K, pairs = _sample_pairs(params, pattern)
+    if 0 < K == T:
+        return K, complete_graph(params.n) if pattern.m else empty_graph(params.n)
+    return K, Graph(params.n, frozenset().union(*[edges for _, edges in pairs]))
+
+
+def sample_copy_hypergraph(params: ConstructionParams, pattern: Graph) -> CopySample:
+    """Draw the binomial copy hypergraph for the given parameters."""
+    T, K, pairs = _sample_pairs(params, pattern)
+    copies = sorted((Copy(*pair) for pair in pairs), key=Copy.key)
     return CopySample(copies, params, T, K)
 
 
@@ -447,8 +467,7 @@ def construct_family_free(
     )
     if density_trials < 0:
         raise ParamOutOfRange("density trials must be nonnegative")
-    sample = sample_copy_hypergraph(params, pattern)
-    g0 = union_graph(sample)
+    sampled, g0 = _sampled_union(params, pattern)
 
     doomed: set[int] = set()
     counts = []
@@ -472,7 +491,7 @@ def construct_family_free(
         params=params,
         cores=[write_graph6(c) for c in cores],
         core_copy_counts=counts,
-        sampled_copies=len(sample.copies),
+        sampled_copies=sampled,
         union_edges=g0.m,
         deletions=sorted(doomed),
         deletions_within_budget=len(doomed) <= budget,
@@ -523,8 +542,7 @@ def _density_chunk(args) -> int:
 def _copy_count_trial(args) -> int:
     core, pattern, n, eps, seed, copy_limit, p_override = args
     params = ConstructionParams.derive(n, pattern, eps, seed=seed, p_override=p_override)
-    sample = sample_copy_hypergraph(params, pattern)
-    g = union_graph(sample)
+    _, g = _sampled_union(params, pattern)
     count, truncated = count_copies(core, g, limit=copy_limit)
     if truncated:
         raise EnumerationTruncated("core copy count truncated during trial")

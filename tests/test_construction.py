@@ -26,8 +26,8 @@ from ramseykit.construction import (
     union_graph,
     verify_cover_inequality,
 )
-from ramseykit.embed import Copy, automorphism_count, contains_copy
-from ramseykit.errors import NotApplicable, ParamOutOfRange, TooLarge
+from ramseykit.embed import Copy, automorphism_count, contains_copy, count_copies
+from ramseykit.errors import EnumerationTruncated, NotApplicable, ParamOutOfRange, TooLarge
 from ramseykit.graphs import (
     Graph,
     complete_graph,
@@ -140,6 +140,44 @@ class TestSampling:
         params = ConstructionParams.derive(30, K3, 0.3)
         with pytest.raises(ParamOutOfRange):
             sample_copy_hypergraph(params, complete_graph(4))
+
+    def test_pairs_match_copy_sample(self):
+        # the (vertex set, edge set) pairs the trials read against the
+        # canonical Copy lists; K2 plus an isolated vertex has distinct
+        # copies with one edge set, so a dedup on edges alone fails here
+        shared = 0
+        for pattern in (complete_graph(2), K3, path_graph(3), C4, Graph(3, frozenset({(0, 1)}))):
+            for n in (pattern.n + 1, 12):
+                for p in (0.0, 1.0, 0.3, None):
+                    for seed in (0, 2**32, 2**64 - 1):
+                        params = ConstructionParams.derive(n, pattern, 0.3, seed=seed, p_override=p)
+                        sample = sample_copy_hypergraph(params, pattern)
+                        T, K, pairs = construction._sample_pairs(params, pattern)
+                        pairs = list(pairs)
+                        assert (T, K) == (sample.total_copies, sample.requested)
+                        assert sorted(Copy(*pair).key() for pair in pairs) == [
+                            c.key() for c in sample.copies
+                        ]
+                        union = union_graph(sample)
+                        edges = frozenset().union(*[e for _, e in pairs])
+                        assert Graph(n, edges) == union
+                        assert construction._sampled_union(params, pattern) == (K, union)
+                        trial = (C4, pattern, n, 0.3, seed, None, p)
+                        assert construction._copy_count_trial(trial) == count_copies(C4, union)[0]
+                        shared += len(pairs) - len({e for _, e in pairs})
+        assert shared > 0
+
+    def test_trials_list_no_copy_when_every_copy_is_drawn(self, monkeypatch):
+        # at p == 1 the union is complete: count and construct take it
+        # without listing the C(300, 3) triangles
+        def listed(pattern):
+            raise AssertionError("every copy listed")
+
+        monkeypatch.setattr(construction, "_base_images", listed)
+        with pytest.raises(EnumerationTruncated):
+            estimate_copy_count(C4, K3, 300, 2.5, trials=1, copy_limit=10)
+        with pytest.raises(EnumerationTruncated):
+            construct_family_free(300, K3, [complete_graph(4)], 2.5, copy_limit=10)
 
 
 class TestUnionGraph:
@@ -390,7 +428,7 @@ class TestConstruct:
         def sampled(*args):
             raise AssertionError("sampled before the trials check")
 
-        monkeypatch.setattr(construction, "sample_copy_hypergraph", sampled)
+        monkeypatch.setattr(construction, "_sample_pairs", sampled)
         with pytest.raises(ParamOutOfRange):
             construct_family_free(200, K3, [complete_graph(4)], 0.3, density_trials=-2)
 
